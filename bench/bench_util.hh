@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lang/codegen.hh"
@@ -202,18 +203,36 @@ configFor(const EngineCombo &combo)
     return config;
 }
 
+/** The host CPU's model name from /proc/cpuinfo ("unknown" when
+ *  the file or the field is missing). */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
 /**
  * The shared bench --json=<path> emitter ("fpc-bench-v1"): every bench
  * constructs one before benchmark::Initialize (which rejects unknown
  * flags), registers its paper-shape tables and headline metrics, and
  * calls write() before handing over to google-benchmark. Without
- * --json= it is inert.
+ * --json= it is inert. Every document records the host it came from
+ * in its notes: nproc, CPU model, compiler, build type, and the git
+ * SHA given with --git-sha= ("unknown" without it).
  */
 class JsonReport
 {
   public:
-    /** Strips --json=<path> out of argv so google-benchmark never
-     *  sees it. */
+    /** Strips --json=<path> and --git-sha=<sha> out of argv so
+     *  google-benchmark never sees them. */
     JsonReport(int &argc, char **argv, std::string bench_name)
         : bench_(std::move(bench_name))
     {
@@ -222,6 +241,8 @@ class JsonReport
             const std::string arg = argv[i];
             if (arg.rfind("--json=", 0) == 0)
                 path_ = arg.substr(7);
+            else if (arg.rfind("--git-sha=", 0) == 0)
+                gitSha_ = arg.substr(10);
             else
                 argv[out++] = argv[i];
         }
@@ -251,6 +272,16 @@ class JsonReport
     {
         if (enabled())
             notes_[key] = text;
+    }
+
+    /** Declare an absolute floor for a metric: tools/bench_diff.py
+     *  fails any candidate whose value falls below it, whatever the
+     *  baseline measured. */
+    void
+    gate(const std::string &metric_key, double min)
+    {
+        if (enabled())
+            gates_[metric_key] = min;
     }
 
     /** Record a histogram's interpolated percentiles as metrics
@@ -300,8 +331,28 @@ class JsonReport
         for (const auto &[key, v] : metrics_)
             w.kv(key, v);
         w.endObject();
+        w.key("gates").beginObject();
+        for (const auto &[key, min] : gates_) {
+            w.key(key).beginObject();
+            w.kv("min", min);
+            w.endObject();
+        }
+        w.endObject();
+        std::map<std::string, std::string> notes = notes_;
+        notes.emplace("host_nproc",
+                      std::to_string(std::thread::hardware_concurrency()));
+        notes.emplace("host_cpu", cpuModel());
+#if defined(__clang__)
+        notes.emplace("compiler", "clang " __clang_version__);
+#elif defined(__GNUC__)
+        notes.emplace("compiler", "gcc " __VERSION__);
+#else
+        notes.emplace("compiler", "unknown");
+#endif
+        notes.emplace("build_type", FPC_BUILD_TYPE);
+        notes.emplace("git_sha", gitSha_);
         w.key("notes").beginObject();
-        for (const auto &[key, text] : notes_)
+        for (const auto &[key, text] : notes)
             w.kv(key, text);
         w.endObject();
         w.endObject();
@@ -311,6 +362,8 @@ class JsonReport
   private:
     std::string bench_;
     std::string path_;
+    std::string gitSha_ = "unknown";
+    std::map<std::string, double> gates_;
     std::vector<std::pair<std::string, stats::Table>> tables_;
     std::map<std::string, double> metrics_;
     std::map<std::string, std::string> notes_;

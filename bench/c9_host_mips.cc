@@ -250,7 +250,7 @@ enum class ObsState
 {
     Unobserved, ///< no observer at all
     Sampled,    ///< boundary-sampling profiler + sampled telemetry
-    Exact,      ///< exact telemetry sampler (forces the eager loop)
+    Exact,      ///< exact telemetry sampler (the per-block deadline)
 };
 
 constexpr std::array<ObsState, 3> allObsStates = {
@@ -260,9 +260,10 @@ constexpr std::array<ObsState, 3> allObsStates = {
  * Observability overhead: wall time of the threaded backend with no
  * observer, with full sampled observability (profiler + telemetry via
  * the BoundaryFanout, default 9973-cycle budget), and with the exact
- * telemetry sampler — which forces the eager loop and so prices what
- * `--telemetry-mode=sampled` buys back. Same interleaved min-of-N
- * discipline as the throughput tables.
+ * telemetry sampler — which the threaded loop serves through its
+ * per-block deadline: superblocks between sample points, exact steps
+ * in the block that crosses one. Same interleaved min-of-N discipline
+ * as the throughput tables.
  */
 void
 printObsOverhead(unsigned repeat, JsonReport &json)
@@ -276,6 +277,7 @@ printObsOverhead(unsigned repeat, JsonReport &json)
 
     constexpr Tick sampleInterval = 9973;
     double min_retention = 0;
+    double min_exact_retention = 0;
     bool first = true;
     for (const EngineCombo &combo : allEngines()) {
         // A single primes run is sub-millisecond, where host cache
@@ -292,10 +294,9 @@ printObsOverhead(unsigned repeat, JsonReport &json)
             repeat = 1;
         for (unsigned r = 0; r < repeat; ++r) {
             for (std::size_t i = 0; i < allObsStates.size(); ++i) {
-                // Every state *requests* the threaded backend — the
-                // machine demotes to the eager loop itself when the
-                // exact sampler attaches, which is precisely the cost
-                // being measured.
+                // Every state runs the threaded backend; the exact
+                // sampler's cost is the deadline's eager steps around
+                // each sample point plus the samples themselves.
                 MachineConfig config = configFor(combo);
                 config.accel.enabled = true;
                 config.accel.threaded = true;
@@ -348,16 +349,20 @@ printObsOverhead(unsigned repeat, JsonReport &json)
         json.metric("exact_retention_" + impl, exact_retention);
         if (first || sampled_retention < min_retention)
             min_retention = sampled_retention;
+        if (first || exact_retention < min_exact_retention)
+            min_exact_retention = exact_retention;
         first = false;
     }
     table.print(std::cout);
     json.table("obs_overhead", table);
     json.metric("min_sampled_retention", min_retention);
+    json.metric("min_exact_retention", min_exact_retention);
+    json.gate("min_exact_retention", 0.8);
 
     std::cout << "\nAcceptance shape: full sampled observability "
                  "(--profile-sampled --telemetry-mode=sampled) "
-                 "retains >= 90% of unobserved threaded throughput; "
-                 "exact observation pays the eager loop.\n";
+                 "retains >= 90% of unobserved threaded throughput, "
+                 "and exact telemetry >= 80%.\n";
 }
 
 /** The probe states the probe_overhead table compares on the

@@ -43,6 +43,18 @@ namespace fpc
 
 class LoadedImage;
 
+/** True when this toolchain can build the threaded-code backend (its
+ *  computed-goto dispatch needs the GNU label-address extension). */
+constexpr bool
+threadedDispatchSupported()
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return true;
+#else
+    return false;
+#endif
+}
+
 /** Host-acceleration knobs (all host-side; no simulated effect). */
 struct AccelConfig
 {
@@ -53,10 +65,11 @@ struct AccelConfig
     /** Entries per link-cache flavor (power of two). */
     unsigned linkEntries = 1u << 8;
     /** Threaded-code backend: computed-goto dispatch over superblocks
-     *  (see machine/threaded.hh). Requires enabled; only honored when
-     *  Machine::threadedSupported() — callers reject it up front on
-     *  toolchains without the computed-goto extension. */
-    bool threaded = false;
+     *  (see machine/threaded.hh). Requires enabled. The default
+     *  wherever the toolchain can build it; false selects the burst
+     *  loop. Callers reject an explicit request up front on toolchains
+     *  without the computed-goto extension. */
+    bool threaded = threadedDispatchSupported();
     /** Superblock cache entries (power of two). */
     unsigned sblockEntries = 1u << 12;
 };

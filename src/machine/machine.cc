@@ -486,6 +486,23 @@ Machine::fireBoundarySample()
 }
 
 void
+Machine::fireSample()
+{
+    // The threaded loop defers its opcode/length histograms and host
+    // counters per block; a sample must read a self-consistent
+    // machine, so fold them first.
+    if (sblocks_ && accel_)
+        sblocks_->flushDeferred(stats_, accel_->stats);
+    // Catch up past multi-cycle instructions so the next fire is
+    // strictly in the future; the sampler only reads state, so no
+    // simulated cost is charged here.
+    do {
+        nextSampleAt_ += sampleInterval_;
+    } while (nextSampleAt_ <= stats_.cycles);
+    sampler_->onSample(*this);
+}
+
+void
 Machine::setRetained(Addr frame_ptr, bool retained)
 {
     heap_.setRetained(frame_ptr, retained);
@@ -539,39 +556,74 @@ Machine::startContext(Word descriptor, std::span<const Word> args)
     callDescriptor(descriptor, XferKind::ExtCall);
 }
 
+[[gnu::always_inline]] inline void
+Machine::stepInline()
+{
+    if (stop_ != StopReason::Running)
+        return;
+    if (accel_)
+        accel_->sync(mem_.codeEpoch());
+    stepCore();
+    maybePreempt();
+    if (sampler_ != nullptr && stats_.cycles >= nextSampleAt_)
+        [[unlikely]]
+        fireSample();
+    if (bsampler_ != nullptr && stats_.cycles >= bsampleNextAt_)
+        [[unlikely]] {
+        // Anchor to the instruction that spent the cycles: a transfer
+        // that expires the budget has already moved pc() to its
+        // destination, but the exact profiler charges its cost to the
+        // source.
+        bsampleAnchorPc_ = instStart_;
+        fireBoundarySample();
+    }
+}
+
+bool
+Machine::accelDemoted(const AccelConfig &accel, bool observer,
+                      bool sampler, bool preemptible)
+{
+    if (!accel.enabled)
+        return false;
+    if (observer)
+        return true;
+    return !accel.threaded && (sampler || preemptible);
+}
+
 RunResult
 Machine::run()
 {
-    // With no preemption configured, maybePreempt() is a no-op and the
-    // fast path batches the per-step bookkeeping: the stop/step-limit
-    // checks and the code-epoch poll move to burst granularity, the
-    // pure-sum counters accumulate in a BurstAcc, and the inner loop
-    // is just the step core. The epoch cannot move inside a burst —
-    // the machine itself never pokes memory while running — so
-    // per-burst sync is exact; host-side patching between step() or
-    // run() calls is caught at the next (re)entry. An attached
-    // observer forces the eager loop: XFER records stamp absolute
-    // cycles/steps, which batched accounting would skew. An attached
-    // sampler does too: sample points are defined as step boundaries
-    // crossing cycle-interval multiples, which burst-granular cycle
-    // accounting would move.
+    // The threaded loop serves preemption and the exact sampler
+    // through its per-block deadline (threaded.cc). The burst loop
+    // cannot: with no preemption configured, maybePreempt() is a
+    // no-op and the burst path batches the per-step bookkeeping — the
+    // stop/step-limit checks and the code-epoch poll move to burst
+    // granularity, the pure-sum counters accumulate in a BurstAcc, and
+    // the inner loop is just the step core. The epoch cannot move
+    // inside a burst — the machine itself never pokes memory while
+    // running — so per-burst sync is exact; host-side patching between
+    // step() or run() calls is caught at the next (re)entry. A sampler
+    // or preemption sends the burst loop to the eager loop, because
+    // burst-granular accounting would move sample and switch points.
+    // An attached observer sends every backend there: XFER records
+    // stamp absolute cycles/steps, which deferred accounting would
+    // skew.
     const bool preemptible =
         config_.timesliceSteps != 0 && scheduler_ != nullptr;
+    const bool eager =
+        accel_ == nullptr ||
+        accelDemoted(config_.accel, observer_ != nullptr,
+                     sampler_ != nullptr, preemptible);
     constexpr std::uint64_t burstSteps = 4096;
 
     std::uint64_t steps = 0;
     try {
-        if (sblocks_ && !preemptible && observer_ == nullptr &&
-            sampler_ == nullptr) {
-            // Threaded-code backend: same gating rules as bursts (an
-            // observer, sampler, or preemption forces the eager loop
-            // below), same simulated numbers, faster dispatch.
+        if (!eager && sblocks_) {
             if (banked())
                 threadedLoopT<true>(steps);
             else
                 threadedLoopT<false>(steps);
-        } else if (accel_ && !preemptible && observer_ == nullptr &&
-                   sampler_ == nullptr) {
+        } else if (!eager) {
             while (stop_ == StopReason::Running) {
                 if (steps >= config_.maxSteps) {
                     stopWith(StopReason::StepLimit,
@@ -653,7 +705,7 @@ Machine::run()
                              "step budget exhausted");
                     break;
                 }
-                step();
+                stepInline();
                 ++steps;
             }
         }
@@ -675,31 +727,7 @@ Machine::stopWith(StopReason reason, std::string message)
 void
 Machine::step()
 {
-    if (stop_ != StopReason::Running)
-        return;
-    if (accel_)
-        accel_->sync(mem_.codeEpoch());
-    stepCore();
-    maybePreempt();
-    if (sampler_ != nullptr && stats_.cycles >= nextSampleAt_)
-        [[unlikely]] {
-        // Catch up past multi-cycle instructions so the next fire is
-        // strictly in the future; the sampler only reads state, so no
-        // simulated cost is charged here.
-        do {
-            nextSampleAt_ += sampleInterval_;
-        } while (nextSampleAt_ <= stats_.cycles);
-        sampler_->onSample(*this);
-    }
-    if (bsampler_ != nullptr && stats_.cycles >= bsampleNextAt_)
-        [[unlikely]] {
-        // Anchor to the instruction that spent the cycles: a transfer
-        // that expires the budget has already moved pc() to its
-        // destination, but the exact profiler charges its cost to the
-        // source.
-        bsampleAnchorPc_ = instStart_;
-        fireBoundarySample();
-    }
+    stepInline();
 }
 
 void
@@ -712,7 +740,7 @@ Machine::stepCore()
 }
 
 template <bool WithAccel, bool Batched>
-void
+[[gnu::always_inline]] inline void
 Machine::stepCoreT(BurstAcc *acc)
 {
     instStart_ = pcAbs_;
@@ -762,6 +790,11 @@ Machine::stepCoreT(BurstAcc *acc)
 
     execute(*inst);
 }
+
+// stepCoreT is declared in machine.hh but defined only here: emit the
+// plain accelerated variant out of line too, so a caller in another
+// translation unit links at every optimization level.
+template void Machine::stepCoreT<true, false>(BurstAcc *);
 
 void
 Machine::chargeLinkWalk(CountT table_reads, CountT code_bytes)

@@ -178,8 +178,8 @@ class CycleSampler
 /**
  * Boundary sampling hook clocked on simulated cycles; attach with
  * Machine::setBoundarySampler. Unlike a CycleSampler, an attached
- * boundary sampler does NOT force the eager loop: the accelerated
- * backends check the cycle budget only where their deferred
+ * boundary sampler costs no exact steps on any backend: the
+ * accelerated backends check the cycle budget only where their deferred
  * accounting is (or can cheaply be made) exact — the threaded loop's
  * block-exit and chain-follow sites and the burst loop's per-burst
  * flush — so onBoundarySample fires at the first such boundary at or
@@ -313,9 +313,11 @@ class Machine
 
     /** Attach a periodic sampler fired every interval_cycles simulated
      *  cycles (next fire is re-anchored at the current cycle count);
-     *  null detaches. Like an observer, an attached sampler routes
-     *  run() through the eager per-step loop so sample points stay
-     *  byte-identical with acceleration on or off. */
+     *  null detaches. Sample points stay byte-identical across
+     *  backends: the threaded loop enters a superblock only when the
+     *  block cannot cross the next sample point before its last
+     *  instruction, and steps eagerly otherwise; the burst loop still
+     *  gives way to the eager loop (see accelDemoted). */
     void setSampler(CycleSampler *sampler, Tick interval_cycles);
     CycleSampler *sampler() const { return sampler_; }
 
@@ -415,9 +417,18 @@ class Machine
      *  Callers must reject --accel=threaded up front when false. */
     static bool threadedSupported();
     /** True when the threaded backend is configured on this machine
-     *  (run() still falls back to the eager loop for observers,
-     *  samplers and preemption, exactly like bursts). */
+     *  (run() still falls back to the eager loop for observers). */
     bool threadedActive() const { return sblocks_ != nullptr; }
+
+    /** True when an accelerated machine configured as `accel` would
+     *  run() on the eager per-step loop anyway: an XferObserver
+     *  demotes every backend (its records stamp absolute cycles per
+     *  transfer); the burst loop also gives way to a CycleSampler and
+     *  to timeslice preemption, which the threaded loop serves through
+     *  its per-block deadline. run() gates on this predicate, and
+     *  drivers warn from it before any machine exists. */
+    static bool accelDemoted(const AccelConfig &accel, bool observer,
+                             bool sampler, bool preemptible);
 
     /** @name Microarchitectural state, for experiments/diagnostics. @{ */
     const BankFile &banks() const { return banks_; }
@@ -540,14 +551,22 @@ class Machine
      *  path batches those). The template parameters fold the accel
      *  null-check and the batched-accounting choice out of the
      *  per-step path: each loop knows statically which variant it
-     *  runs. */
+     *  runs. Forced inline (machine.cc), so no loop pays a call per
+     *  step. */
     template <bool WithAccel, bool Batched = false>
     void stepCoreT(BurstAcc *acc = nullptr);
     void stepCore();
+    /** step()'s body, forced inline into run()'s eager loop (the
+     *  threaded loop calls step() too, so the compiler would no longer
+     *  inline step() there by itself). */
+    void stepInline();
     /** The threaded-code superblock loop (threaded.cc): computed-goto
      *  dispatch with block-fused accounting. Runs until stop or the
      *  step budget expires; steps counts completed instructions and
      *  stays correct when a handler throws (run()'s catch reads it).
+     *  Timeslice preemption and the exact sampler are served by one
+     *  per-block deadline: blocks run only where neither can act
+     *  before their last instruction, exact step() calls elsewhere.
      *  The Banked parameter folds the I4 bank checks out of the
      *  inlined stack/local accessors at compile time. */
     template <bool Banked>
@@ -560,6 +579,10 @@ class Machine
      *  budget past the current cycle count (catch-up, like the
      *  CycleSampler). Out of line — runs at most once per interval. */
     void fireBoundarySample();
+    /** Fire the exact sampler (the step-boundary check already held):
+     *  fold deferred superblock accounting, advance the budget past
+     *  the current cycle count, deliver the sample. */
+    void fireSample();
     void maybePreempt();
     void execArith(isa::Op op);
     void execCompare(isa::Op op);

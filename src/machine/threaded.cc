@@ -26,6 +26,7 @@
 #else
 #define FPC_THREADED_DISPATCH 0
 #endif
+static_assert(FPC_THREADED_DISPATCH == fpc::threadedDispatchSupported());
 
 namespace fpc
 {
@@ -33,11 +34,7 @@ namespace fpc
 bool
 Machine::threadedSupported()
 {
-#if FPC_THREADED_DISPATCH
-    return true;
-#else
-    return false;
-#endif
+    return threadedDispatchSupported();
 }
 
 // ---------------------------------------------------------------------
@@ -104,10 +101,8 @@ void
 SuperblockCache::flushDeferred(MachineStats &stats, AccelStats &astats)
 {
     ++astats.deferredFlushes;
-    for (auto &owned : arena_) {
-        Superblock &b = *owned;
-        if (b.execPending == 0)
-            continue;
+    for (Superblock *pb : pending_) {
+        Superblock &b = *pb;
         const std::uint64_t execs = b.execPending;
         b.execPending = 0;
         for (const auto &[op, count] : b.opDeltas)
@@ -120,6 +115,7 @@ SuperblockCache::flushDeferred(MachineStats &stats, AccelStats &astats)
         astats.sblockFusionHits +=
             static_cast<CountT>(b.fusedPairs) * execs;
     }
+    pending_.clear();
 }
 
 #if FPC_THREADED_DISPATCH
@@ -306,6 +302,56 @@ handlerIndexFor(const isa::Inst &inst)
  *  exit. */
 constexpr unsigned maxBlockInsts = 64;
 
+/** Worst-case cycles of the storage work a straight-line instruction
+ *  can do, from the latency model (Superblock::cycleBound). */
+struct CycleCeilings
+{
+    Tick decode = 0; ///< every instruction
+    /** One data reference: a bank, storage, or a dcache miss that
+     *  also writes back a dirty victim. */
+    Tick data = 0;
+    Tick table = 0; ///< LoadDesc's table read
+    /** LoadLocalAddr on I4: flush the whole local bank and rewrite the
+     *  frame header (0 on the other engines). */
+    Tick dropBank = 0;
+
+    explicit CycleCeilings(const MachineConfig &config)
+    {
+        const LatencyModel &lat = config.latency;
+        decode = lat.decodeCycles;
+        data = config.useDataCache
+                   ? lat.cacheHitCycles + 2 * Tick{lat.memCycles}
+                   : lat.memCycles;
+        data = std::max<Tick>(data, lat.regCycles);
+        table = lat.memCycles;
+        if (config.impl == Impl::Banked)
+            dropBank = (Tick{config.bankWords} + 2) * lat.memCycles;
+    }
+
+    /** Ceiling for one instruction by its (unfused) handler index. */
+    Tick
+    of(unsigned h) const
+    {
+        switch (h) {
+          case H_LoadLocal:
+          case H_StoreLocal:
+          case H_LoadGlobal:
+          case H_StoreGlobal:
+          case H_LoadIndirect:
+          case H_StoreIndirect:
+          case H_ReadField:
+          case H_WriteField:
+            return decode + data;
+          case H_LoadDesc:
+            return decode + table;
+          case H_LoadLocalAddr:
+            return decode + dropBank;
+          default:
+            return decode;
+        }
+    }
+};
+
 /**
  * Decode a superblock starting at entry. Fetches are unaccounted
  * peeks: the execution charges chargeCodeBytes per run, which is
@@ -316,7 +362,8 @@ constexpr unsigned maxBlockInsts = 64;
  * accounting.
  */
 std::unique_ptr<Superblock>
-buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
+buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels,
+           const CycleCeilings &ceilings)
 {
     auto block = std::make_unique<Superblock>();
     block->entry = entry;
@@ -328,6 +375,8 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
 
     CodeByteAddr pc = entry;
     std::uint32_t bytes = 0;
+    Tick cycles = 0;
+    Tick lastCycles = 0;
     while (block->insts.size() < maxBlockInsts) {
         isa::Inst inst;
         try {
@@ -339,6 +388,8 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
         }
         const unsigned h = handlerIndexFor(inst);
         hidx[block->insts.size()] = static_cast<std::uint8_t>(h);
+        lastCycles = ceilings.of(h);
+        cycles += lastCycles;
         TInst t;
         t.handler = labels[h];
         t.start = pc;
@@ -395,6 +446,7 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels)
 
     block->n = static_cast<std::uint32_t>(block->insts.size());
     block->codeBytes = bytes;
+    block->cycleBound = cycles - lastCycles;
     for (unsigned op = 0; op < opCounts.size(); ++op)
         if (opCounts[op] != 0)
             block->opDeltas.emplace_back(
@@ -613,6 +665,14 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // fixed while run() executes (setProbeSink is an outside-the-run
     // API), so hoisting is sound.
     const bool armedChk = probes_ != nullptr && !armed_.empty();
+    // The deadline's inputs, hoisted the same way (the scheduler and
+    // the sampler are attached outside run()): preemption and the
+    // exact sampler act only after a step, so a block runs fused only
+    // where neither can act before its last instruction.
+    const bool preemptible =
+        config_.timesliceSteps != 0 && scheduler_ != nullptr;
+    CycleSampler *const smp = sampler_;
+    const CycleCeilings ceilings(config_);
     (void)regCyc;
     (void)bankWords;
 
@@ -694,7 +754,9 @@ Machine::threadedLoopT(std::uint64_t &steps)
     // pending across whole blocks instead — every mid-run reader is
     // either delta-based around member code (XferProbe, the heap and
     // link-cache trackers), where a constant pending delta cancels,
-    // or absolute (spans, samplers, preemption), which forces eager.
+    // or absolute: XFER observers force eager, and the exact sampler
+    // and preemption act only where the counters are spilled (the
+    // deadline below).
     const auto foldDirty = [&]() __attribute__((always_inline)) {
         if constexpr (Banked) {
             *banks_.dirtyPtr(stackBank_) |= sbAcc;
@@ -843,10 +905,25 @@ Machine::threadedLoopT(std::uint64_t &steps)
         }
     };
 
+    // Exact cycles with the sampler attached: the block world runs
+    // only while this holds for the next block, so no sample point
+    // falls between two of its steps.
+    const auto sampleFits = [&](const Superblock &b)
+        __attribute__((always_inline)) {
+        spillStats();
+        return stats_.cycles + b.cycleBound < nextSampleAt_;
+    };
+
     Superblock *prev = nullptr;
     Superblock *cur = nullptr;
     const TInst *base = nullptr;
     const TInst *ti = nullptr;
+    // The step deadline: the largest st the block world may reach
+    // (the budget, and under preemption the last step whose
+    // maybePreempt() is a plain countdown). st0 is st at block-world
+    // entry, for the countdown charged at block_done.
+    std::uint64_t stepEnd = maxSteps;
+    std::uint64_t st0 = 0;
     // Register-cached stack pointer. Fast paths read and write only
     // this; FPC_T_PRE spills it to sp_ at every instruction start,
     // and it reloads from sp_ after anything that runs member code
@@ -895,7 +972,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
         if (armedChk && pcArmed(pcAbs_)) [[unlikely]] {
             prev = nullptr;
             ++acc->stats.probeEagerSteps;
-            stepCoreT<true>();
+            step();
             ++st;
             steps = st;
             continue;
@@ -915,7 +992,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
                     prev = nullptr;
                 }
                 std::unique_ptr<Superblock> built =
-                    buildBlock(mem_, pcAbs_, labels);
+                    buildBlock(mem_, pcAbs_, labels, ceilings);
                 if (built != nullptr) {
                     sb = cache.insert(std::move(built));
                     ++acc->stats.sblockBuilds;
@@ -928,13 +1005,55 @@ Machine::threadedLoopT(std::uint64_t &steps)
             }
         }
 
-        if (sb == nullptr || sb->n > maxSteps - st) {
-            // Undecodable PC or a step-budget tail shorter than the
-            // block: take one exact eager step instead.
+        if (sb == nullptr) {
+            // Undecodable PC: one exact step reproduces the fault.
             prev = nullptr;
-            stepCoreT<true>();
+            step();
             ++st;
             steps = st; // the next iteration's member calls can throw
+            continue;
+        }
+
+        // The per-block deadline. A pending switch is checked after
+        // every step, so it leaves no room at all; otherwise the slice
+        // may count down to 1. A block whose final instruction crosses
+        // the next sample point still fits: block_done samples there
+        // exactly as step() would.
+        stepEnd = maxSteps;
+        if (preemptible)
+            stepEnd = switchPending_
+                          ? st
+                          : std::min(stepEnd, st + sliceLeft_ - 1);
+        if (sb->n > stepEnd - st ||
+            (smp != nullptr &&
+             stats_.cycles + sb->cycleBound >= nextSampleAt_))
+            [[unlikely]] {
+            // Exact step()s — maybePreempt, the sampler, the boundary
+            // sampler, in that order — until the deadline has passed
+            // (the switch was taken or the sample fired) and control
+            // has reached a block boundary: a cached block's entry or
+            // the end of the block being stepped, so no superblock is
+            // built from the middle of another. The run stopping or
+            // spending its budget ends the steps too.
+            prev = nullptr;
+            const CountT switches = stats_.preemptions;
+            const Tick sampleAt = nextSampleAt_;
+            const auto resumable = [&] {
+                if (stats_.preemptions == switches &&
+                    nextSampleAt_ == sampleAt)
+                    return false;
+                if (cache.find(pcAbs_) != nullptr)
+                    return true;
+                const isa::Inst *last = acc->probeInst(instStart_);
+                return last == nullptr ||
+                       isTerminalIdx(handlerIndexFor(*last));
+            };
+            do {
+                step();
+                ++st;
+                steps = st;
+            } while (stop_ == StopReason::Running && st < maxSteps &&
+                     !resumable());
             continue;
         }
 
@@ -942,7 +1061,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
         base = cur->insts.data();
         ti = base;
         sp = sp_;
-            treload();
+        treload();
+        st0 = st;
         try {
             goto *const_cast<void *>(ti->handler);
 
@@ -1515,7 +1635,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
             stats_.steps += cur->n;
             stats_.cycles += static_cast<Tick>(cur->n) * decodeCyc;
             mem_.chargeCodeBytes(cur->codeBytes);
-            ++cur->execPending;
+            if (cur->execPending++ == 0)
+                cache.markPending(*cur);
             st += cur->n;
             prev = cur;
             // Chain-follow fast re-entry: the code epoch only moves on
@@ -1529,7 +1650,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 (bsmp == nullptr || stats_.cycles < bsampleNextAt_))
                 [[likely]] {
                 Superblock *nb = cur->chain;
-                if (nb->n <= maxSteps - st) [[likely]] {
+                if (nb->n <= stepEnd - st &&
+                    (smp == nullptr || sampleFits(*nb))) [[likely]] {
                     ++acc->stats.sblockChainHits;
                     cur = nb;
                     base = cur->insts.data();
@@ -1564,6 +1686,11 @@ Machine::threadedLoopT(std::uint64_t &steps)
 
           block_done:
             spillStats();
+            // Every step in the block world was a plain countdown, bar
+            // a stopping one: maybePreempt() skips a stopped machine.
+            if (preemptible)
+                sliceLeft_ -= st - st0 -
+                              (stop_ != StopReason::Running ? 1 : 0);
             steps = st;
         } catch (...) {
             // A handler threw (storage panic): the prefix through the
@@ -1584,9 +1711,16 @@ Machine::threadedLoopT(std::uint64_t &steps)
             acc->stats.icacheHits += k;
             st += k - 1;
             spillStats();
+            if (preemptible)
+                sliceLeft_ -= st - st0;
             steps = st;
             throw;
         }
+        // The last step's sampler check, which the deadline kept from
+        // firing any earlier.
+        if (smp != nullptr && stats_.cycles >= nextSampleAt_)
+            [[unlikely]]
+            fireSample();
     }
     steps = st;
 }
@@ -1612,13 +1746,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
             stopWith(StopReason::StepLimit, "step budget exhausted");
             break;
         }
-        accel_->sync(mem_.codeEpoch());
-        stepCoreT<true>();
+        step();
         ++steps;
-        if (bsampler_ != nullptr && stats_.cycles >= bsampleNextAt_) {
-            bsampleAnchorPc_ = instStart_;
-            fireBoundarySample();
-        }
     }
 }
 

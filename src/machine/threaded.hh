@@ -23,9 +23,14 @@
  *
  * The contract is the acceleration contract (machine/accel.hh): all
  * simulated numbers are bit-identical with the backend off, on, or
- * threaded. Observers, samplers, preemption, step-budget tails, and
- * code-epoch moves fall back to the eager loop exactly as bursts do.
- * Host counters (AccelStats) may differ across backends by design.
+ * threaded. Preemption, the exact sampler and the step budget share
+ * one per-block deadline: a block is entered (or chained into) only
+ * when its static step count fits before the budget and the
+ * timeslice expiry, and the cycle ceiling of its non-final
+ * instructions fits before the next sample point; otherwise the loop
+ * takes exact step()s until the deadline has passed. Only an
+ * XferObserver sends the whole run to the eager loop. Host counters
+ * (AccelStats) may differ across backends by design.
  */
 
 #ifndef FPC_MACHINE_THREADED_HH
@@ -72,6 +77,14 @@ struct Superblock
     CodeByteAddr entry = 0;
     std::uint32_t n = 0;          ///< executable instructions
     std::uint32_t codeBytes = 0;  ///< total encoded bytes of the n
+    /** Most cycles the first n - 1 instructions can take (decode plus
+     *  the worst case of their storage references): a sample point
+     *  past now + cycleBound cannot fall between two of the block's
+     *  steps. The last instruction is left out — the post-step checks
+     *  after it run exactly at the block exit — and so is any
+     *  transfer a trap starts, because a trapping instruction always
+     *  ends the block. */
+    Tick cycleBound = 0;
     std::vector<TInst> insts;     ///< n + 1 (BlockEnd sentinel last)
     /** Sparse accounting deltas for one full execution. */
     std::vector<std::pair<std::uint8_t, std::uint32_t>> opDeltas;
@@ -87,10 +100,11 @@ struct Superblock
      *  across blocks too, because every mid-run reader is delta-based
      *  — XFER probes and heap/link trackers sample differences of the
      *  counters entirely within member code, where the pending deltas
-     *  are constant and cancel — while the absolute readers (span
-     *  observers, the telemetry sampler, preemption) all force the
-     *  eager loop. Only the bank dirty bits fold at every slow-path
-     *  entry: transfers read dirty masks directly. */
+     *  are constant and cancel — while the absolute readers run only
+     *  where the loop has folded everything: span observers force the
+     *  eager loop, and the exact sampler and preemption act at block
+     *  exits or in exact step()s. Only the bank dirty bits fold at
+     *  every slow-path entry: transfers read dirty masks directly. */
     std::uint64_t execPending = 0;
 
     /** Inline successor chain (the IFU-follows-DIRECTCALL idiom at
@@ -157,10 +171,16 @@ class SuperblockCache
     void invalidateRange(CodeByteAddr begin, CodeByteAddr end,
                          MachineStats &stats, AccelStats &astats);
 
-    /** Fold every block's deferred execution accounting into the
-     *  simulated opcode/length histograms and the host counters.
-     *  Called on every threaded-loop exit (RAII) and before any
-     *  flush, so deferral is never observable. */
+    /** Note that a block's execPending went from 0 to 1, so
+     *  flushDeferred visits it. */
+    void markPending(Superblock &block) { pending_.push_back(&block); }
+
+    /** Fold the deferred execution accounting of every pending block
+     *  into the simulated opcode/length histograms and the host
+     *  counters. Called on every threaded-loop exit (RAII), before any
+     *  flush, and before every sample, so deferral is never
+     *  observable; it visits only the blocks run since the last fold,
+     *  which keeps the exact sampler's per-sample cost small. */
     void flushDeferred(MachineStats &stats, AccelStats &astats);
 
   private:
@@ -176,6 +196,8 @@ class SuperblockCache
     std::size_t mask_ = 0;
     std::vector<Superblock *> table_;
     std::vector<std::unique_ptr<Superblock>> arena_;
+    /** Arena blocks with execPending > 0, each listed once. */
+    std::vector<Superblock *> pending_;
 };
 
 } // namespace fpc

@@ -3,8 +3,8 @@
  * Low-overhead sampling profiler for the accelerated host backends.
  *
  * The exact Profiler (obs/profile.hh) rides the XFER observer hook,
- * which forces the eager loop: attaching it to an `--accel=threaded`
- * run silently throws away the speedup it is supposed to measure.
+ * which forces the eager loop: attaching it to an accelerated run
+ * silently throws away the speedup it is supposed to measure.
  * This profiler rides the BoundarySampler hook instead — the accel
  * fast paths keep running, and a sample is taken the next time the
  * machine reaches a superblock exit (threaded), a burst flush

@@ -5,9 +5,10 @@
  * decision, and the final state — into a replay::JobRecord.
  *
  * The recorder *is* a CycleSampler, so attaching it costs zero
- * simulated cycles and (like any sampler) routes run() through the
- * eager per-step loop; the digests it takes are therefore identical
- * with host acceleration on or off. When a Telemetry also wants the
+ * simulated cycles and (like any sampler) fires on exactly the step
+ * the eager loop would pick, on every backend; the digests it takes
+ * are therefore identical with host acceleration off, on, or
+ * threaded. When a Telemetry also wants the
  * machine's one sampler slot, chain it behind the recorder with
  * setNext() — both fire on the same simulated-cycle boundaries.
  *

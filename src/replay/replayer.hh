@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "machine/accel.hh"
 #include "program/module.hh"
 #include "replay/record.hh"
 
@@ -45,13 +46,13 @@ struct VerifyOptions
      *  recording — digests must be invariant, so this *tests* the
      *  acceleration contract rather than weakening verification. */
     std::optional<bool> accelOverride;
-    /** Configure the threaded-code backend on the replay machine
-     *  (implies acceleration on). The verifier's sampler routes
-     *  execution through the eager loop either way — this checks that
-     *  a threaded-configured machine honors the record/replay gating
-     *  contract bit-for-bit. Callers must check
-     *  Machine::threadedSupported() first. */
-    bool threaded = false;
+    /** Replay on the threaded-code backend when acceleration is on
+     *  (the default wherever it is supported; false selects the burst
+     *  loop, which the verifier's sampler sends to the eager loop).
+     *  The threaded loop keeps its superblocks under the verifier's
+     *  sampler and the recorded timeslice, so this checks its
+     *  per-block deadline against the recording bit-for-bit. */
+    bool threaded = threadedDispatchSupported();
     /** When nonempty, a divergence writes
      *  "<dir>/job-<id>-divergence.json". */
     std::string divergenceDir;

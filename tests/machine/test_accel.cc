@@ -17,6 +17,7 @@
 #include "common/logging.hh"
 #include "machine/machine.hh"
 #include "obs/json.hh"
+#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "program/loader.hh"
 #include "program/relocate.hh"
@@ -113,6 +114,39 @@ compareLoopModule()
     return b.build();
 }
 
+/** A loop whose callee takes the address of a local (LLA: on I4 this
+ *  drops the local bank, the costliest straight-line instruction),
+ *  stores and loads through the pointer, and bumps a global, so the
+ *  threaded backend's per-block cycle ceilings see every kind of
+ *  straight-line storage reference. */
+Module
+pointerLoopModule()
+{
+    ModuleBuilder b("M");
+    b.globals(1);
+    auto &bump = b.proc("bump", 1, 2);
+    bump.loadLocal(0).loadLocalAddr(1).op(isa::Op::WR);
+    bump.loadLocalAddr(1).op(isa::Op::RD).loadImm(77).op(isa::Op::ADD);
+    bump.loadGlobal(0).loadImm(1).op(isa::Op::ADD).storeGlobal(0);
+    bump.ret();
+
+    auto &main = b.proc("main", 1, 2);
+    auto loop = main.newLabel();
+    auto skip = main.newLabel();
+    auto done = main.newLabel();
+    main.loadImm(0).storeLocal(1);
+    main.label(loop);
+    main.loadLocal(0).jumpZero(done);
+    main.loadLocal(0).loadImm(3).op(isa::Op::MOD).jumpZero(skip);
+    main.loadLocal(1).callLocal("bump").storeLocal(1);
+    main.label(skip);
+    main.loadLocal(0).loadImm(1).op(isa::Op::SUB).storeLocal(0);
+    main.jump(loop);
+    main.label(done);
+    main.loadLocal(1).loadGlobal(0).op(isa::Op::ADD).ret();
+    return b.build();
+}
+
 struct EngineCombo
 {
     Impl impl;
@@ -133,6 +167,23 @@ struct RunOut
     std::string traceJson;
     StopReason reason = StopReason::Running;
 };
+
+/** The full simulated-stats document of a finished run. */
+std::string
+statsJson(const Machine &machine, StopReason reason)
+{
+    std::ostringstream os;
+    obs::StatsExport exp;
+    exp.driver = "test_accel";
+    exp.impl = implName(machine.config().impl);
+    exp.stopReason = stopReasonName(reason);
+    exp.machine = &machine.stats();
+    exp.memory = &machine.memory();
+    exp.heap = &machine.heap().stats();
+    exp.cache = machine.dataCache();
+    obs::writeStatsJson(os, exp);
+    return os.str();
+}
 
 /** One complete run on a fresh memory/image; exports the full
  *  simulated-stats document (and optionally an XFER trace, which
@@ -164,17 +215,7 @@ runOnce(const EngineCombo &combo, Mode mode, Word n, bool with_trace,
     if (out.reason == StopReason::TopReturn)
         out.value = machine.popValue();
 
-    std::ostringstream stats;
-    obs::StatsExport exp;
-    exp.driver = "test_accel";
-    exp.impl = implName(config.impl);
-    exp.stopReason = stopReasonName(out.reason);
-    exp.machine = &machine.stats();
-    exp.memory = &mem;
-    exp.heap = &machine.heap().stats();
-    exp.cache = machine.dataCache();
-    obs::writeStatsJson(stats, exp);
-    out.statsJson = stats.str();
+    out.statsJson = statsJson(machine, out.reason);
 
     if (with_trace) {
         std::ostringstream trace;
@@ -275,11 +316,12 @@ struct CountingSampler : CycleSampler
     void onSample(const Machine &) override { ++samples; }
 };
 
-TEST(AccelDeterminism, SamplerForcesEagerUnderThreaded)
+TEST(AccelDeterminism, SamplerKeepsThreadedFastPath)
 {
-    // Same for a cycle sampler: sample points are defined at step
-    // granularity, so the threaded machine falls back to the eager
-    // loop and the sample count matches the unaccelerated run.
+    // A cycle sampler no longer demotes the threaded backend: blocks
+    // run wherever the next sample point cannot fall inside them, and
+    // the sample count and every simulated number match the
+    // unaccelerated run.
     unsigned counts[2] = {0, 0};
     std::string json[2];
     const Mode modes[2] = {Mode::Off, Mode::Threaded};
@@ -299,18 +341,9 @@ TEST(AccelDeterminism, SamplerForcesEagerUnderThreaded)
         ASSERT_EQ(machine.run().reason, StopReason::TopReturn);
         counts[i] = sampler.samples;
         if (modes[i] == Mode::Threaded) {
-            EXPECT_EQ(machine.accelStats().sblockExecs, 0u);
+            EXPECT_GT(machine.accelStats().sblockExecs, 0u);
         }
-        std::ostringstream os;
-        obs::StatsExport exp;
-        exp.driver = "test_accel";
-        exp.impl = implName(config.impl);
-        exp.stopReason = stopReasonName(StopReason::TopReturn);
-        exp.machine = &machine.stats();
-        exp.memory = &mem;
-        exp.heap = &machine.heap().stats();
-        obs::writeStatsJson(os, exp);
-        json[i] = os.str();
+        json[i] = statsJson(machine, StopReason::TopReturn);
     }
     EXPECT_GT(counts[0], 0u);
     EXPECT_EQ(counts[0], counts[1]);
@@ -319,7 +352,7 @@ TEST(AccelDeterminism, SamplerForcesEagerUnderThreaded)
 
 TEST(AccelDeterminism, ThreadedFastPathActuallyEngages)
 {
-    // Sanity check on the force-eager tests above: with no observer
+    // Sanity check on the force-eager test above: with no observer
     // attached the same workload does run through superblocks, so a
     // zero sblockExecs there means "fell back", not "never built".
     if (!Machine::threadedSupported())
@@ -338,6 +371,162 @@ TEST(AccelDeterminism, ThreadedFastPathActuallyEngages)
     ASSERT_EQ(machine.run().reason, StopReason::TopReturn);
     EXPECT_GT(machine.accelStats().sblockBuilds, 0u);
     EXPECT_GT(machine.accelStats().sblockExecs, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The per-block deadline: timeslices and exact samplers
+// ---------------------------------------------------------------------
+
+struct DeadlineOut
+{
+    StopReason reason = StopReason::Running;
+    Word value = 0;
+    std::string statsJson;
+    std::string metricsJson;
+    CountT preemptions = 0;
+    CountT sblockExecs = 0;
+};
+
+/** One run of pointerLoopModule with a self-switching timeslice
+ *  scheduler and exact telemetry, exporting the stats and the
+ *  fpc-metrics-v1 document. */
+DeadlineOut
+runDeadline(const EngineCombo &combo, Mode mode, std::uint64_t slice,
+            Tick interval, bool data_cache = false)
+{
+    const SystemLayout layout;
+    Memory mem(layout.memWords);
+    Loader loader{layout, SizeClasses::standard()};
+    loader.add(pointerLoopModule());
+    LinkPlan plan;
+    plan.lowering = combo.lowering;
+    const LoadedImage image = loader.load(mem, plan);
+
+    MachineConfig config;
+    config.impl = combo.impl;
+    config.timesliceSteps = slice;
+    config.useDataCache = data_cache;
+    applyMode(config, mode);
+    Machine machine(mem, image, config);
+    machine.setScheduler(
+        [](Machine &m) { return m.currentFrameContext(); });
+    obs::Telemetry telemetry;
+    machine.setSampler(&telemetry, interval);
+
+    machine.start("M", "main", std::array<Word, 1>{Word{120}});
+    telemetry.sample(machine);
+    DeadlineOut out;
+    out.reason = machine.run().reason;
+    telemetry.sample(machine);
+    if (out.reason == StopReason::TopReturn)
+        out.value = machine.popValue();
+    out.preemptions = machine.stats().preemptions;
+    out.sblockExecs = machine.accelStats().sblockExecs;
+
+    out.statsJson = statsJson(machine, out.reason);
+
+    std::ostringstream metrics;
+    obs::MetricsExport meta;
+    meta.driver = "test_accel";
+    meta.impl = implName(config.impl);
+    meta.interval = interval;
+    obs::writeMetricsJson(metrics, meta, telemetry);
+    out.metricsJson = metrics.str();
+    return out;
+}
+
+void
+expectSameAsEager(const DeadlineOut &off, const DeadlineOut &out,
+                  const std::string &what)
+{
+    EXPECT_EQ(off.reason, out.reason) << what;
+    EXPECT_EQ(off.value, out.value) << what;
+    EXPECT_EQ(off.preemptions, out.preemptions) << what;
+    // Whole-document compares: gtest's line diff of two long JSON
+    // documents costs quadratic memory, so report only which differs.
+    EXPECT_TRUE(off.statsJson == out.statsJson) << "stats: " << what;
+    EXPECT_TRUE(off.metricsJson == out.metricsJson)
+        << "metrics: " << what;
+}
+
+TEST(AccelDeadline, SliceAndSamplerMatrixMatchesEager)
+{
+    // Every engine x timeslice x exact sampler interval, from "both
+    // act after every step" (no block ever fits) to "both are rare"
+    // (nearly everything runs fused): stats, metrics, preemption
+    // points and the result are the eager loop's. Neither a timeslice
+    // nor a sampler demotes the threaded backend any more, so it must
+    // have run superblocks wherever blocks fit between the deadlines.
+    for (const EngineCombo &combo : combos) {
+        for (std::uint64_t slice : {1u, 3u, 100u, 10000u}) {
+            for (Tick interval : {1u, 37u, 10000u}) {
+                const DeadlineOut off =
+                    runDeadline(combo, Mode::Off, slice, interval);
+                ASSERT_EQ(off.reason, StopReason::TopReturn)
+                    << implName(combo.impl);
+                if (slice == 100) {
+                    EXPECT_GT(off.preemptions, 0u)
+                        << implName(combo.impl);
+                }
+                for (Mode mode : {Mode::On, Mode::Threaded}) {
+                    const DeadlineOut out =
+                        runDeadline(combo, mode, slice, interval);
+                    expectSameAsEager(
+                        off, out,
+                        std::string(implName(combo.impl)) + " " +
+                            modeName(mode) + " slice " +
+                            std::to_string(slice) + " interval " +
+                            std::to_string(interval));
+                    if (mode == Mode::Threaded && slice >= 100 &&
+                        interval == 10000) {
+                        EXPECT_GT(out.sblockExecs, 0u)
+                            << implName(combo.impl);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(AccelDeadline, DemotionPredicateMatchesTheBackends)
+{
+    // The predicate run() gates on and the drivers warn from: only an
+    // observer demotes threaded; burst also gives way to a sampler or
+    // a timeslice; an unaccelerated machine is never "demoted".
+    AccelConfig threaded;
+    threaded.enabled = true;
+    threaded.threaded = true;
+    AccelConfig burst = threaded;
+    burst.threaded = false;
+    AccelConfig off = threaded;
+    off.enabled = false;
+
+    EXPECT_TRUE(Machine::accelDemoted(threaded, true, false, false));
+    EXPECT_FALSE(Machine::accelDemoted(threaded, false, true, true));
+    EXPECT_TRUE(Machine::accelDemoted(burst, true, false, false));
+    EXPECT_TRUE(Machine::accelDemoted(burst, false, true, false));
+    EXPECT_TRUE(Machine::accelDemoted(burst, false, false, true));
+    EXPECT_FALSE(Machine::accelDemoted(burst, false, false, false));
+    EXPECT_FALSE(Machine::accelDemoted(off, true, true, true));
+}
+
+TEST(AccelDeadline, DataCacheCeilingMatchesEager)
+{
+    // With a data cache a reference costs up to a miss plus a dirty
+    // writeback; the block ceilings must cover that too.
+    for (const EngineCombo &combo : combos) {
+        for (Tick interval : {1u, 37u, 101u}) {
+            const DeadlineOut off =
+                runDeadline(combo, Mode::Off, 100, interval, true);
+            ASSERT_EQ(off.reason, StopReason::TopReturn);
+            const DeadlineOut out =
+                runDeadline(combo, Mode::Threaded, 100, interval, true);
+            expectSameAsEager(off, out,
+                              std::string(implName(combo.impl)) +
+                                  " interval " +
+                                  std::to_string(interval));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -379,18 +568,8 @@ patchMidRun(Mode mode, std::string *stats_json)
     const RunResult result = machine.run();
     EXPECT_EQ(result.reason, StopReason::TopReturn);
     const Word value = machine.popValue();
-    if (stats_json != nullptr) {
-        std::ostringstream os;
-        obs::StatsExport exp;
-        exp.driver = "test_accel";
-        exp.impl = implName(config.impl);
-        exp.stopReason = stopReasonName(result.reason);
-        exp.machine = &machine.stats();
-        exp.memory = &mem;
-        exp.heap = &machine.heap().stats();
-        obs::writeStatsJson(os, exp);
-        *stats_json = os.str();
-    }
+    if (stats_json != nullptr)
+        *stats_json = statsJson(machine, result.reason);
     return value;
 }
 

@@ -72,11 +72,14 @@ allCombos()
 
 /** Record `source` exactly the way the fpcreplay/fpcvm drivers do:
  *  image hash before the Machine exists, bracket sample after
- *  start(), finish before any popValue. */
+ *  start(), finish before any popValue. With accel on the recording
+ *  runs on the default (threaded) backend; `host` receives its host
+ *  counters. */
 replay::RecordLog
 recordProgram(const std::string &source, const Combo &combo,
               std::vector<Word> args, std::uint64_t timeslice = 0,
-              Tick interval = 1000, bool accel = true)
+              Tick interval = 1000, bool accel = true,
+              AccelStats *host = nullptr)
 {
     const auto modules = lang::compile(source);
 
@@ -121,6 +124,8 @@ recordProgram(const std::string &source, const Combo &combo,
     const RunResult result = machine.run();
     recorder.finish(machine, result);
     log.jobs.push_back(recorder.takeJob());
+    if (host != nullptr)
+        *host = machine.accelStats();
     return log;
 }
 
@@ -240,6 +245,52 @@ TEST(Verify, AccelOverrideIsInvisible)
     replay::VerifyOptions forceOn;
     forceOn.accelOverride = true;
     EXPECT_TRUE(offReplayer.verify(forceOn).ok);
+}
+
+TEST(Verify, ThreadedTimesliceRecordingVerifiesEager)
+{
+    // A recording taken on the threaded backend under a timeslice —
+    // superblocks between the deadlines, exact steps at every digest
+    // and switch — verifies on the eager loop.
+    if (!Machine::threadedSupported())
+        GTEST_SKIP() << "threaded backend not compiled in";
+    for (const Combo &combo : allCombos()) {
+        AccelStats host;
+        const replay::RecordLog log =
+            recordProgram(kFibSource, combo, {9}, /*timeslice=*/200,
+                          /*interval=*/300, /*accel=*/true, &host);
+        EXPECT_GT(host.sblockExecs, 0u) << implName(combo.impl);
+        ASSERT_FALSE(log.jobs.front().decisions.empty())
+            << implName(combo.impl);
+        replay::Replayer replayer(parse(serialize(log)));
+        replay::VerifyOptions forceOff;
+        forceOff.accelOverride = false;
+        const replay::VerifyResult r = replayer.verify(forceOff);
+        EXPECT_TRUE(r.ok) << implName(combo.impl);
+        EXPECT_FALSE(r.decisionOverrun) << implName(combo.impl);
+    }
+}
+
+TEST(Verify, EagerTimesliceRecordingVerifiesThreaded)
+{
+    // The reverse: an eager recording replays bit-for-bit on the
+    // threaded backend, decisions and digests alike.
+    if (!Machine::threadedSupported())
+        GTEST_SKIP() << "threaded backend not compiled in";
+    for (const Combo &combo : allCombos()) {
+        const replay::RecordLog log =
+            recordProgram(kFibSource, combo, {9}, /*timeslice=*/200,
+                          /*interval=*/300, /*accel=*/false);
+        ASSERT_FALSE(log.jobs.front().decisions.empty())
+            << implName(combo.impl);
+        replay::Replayer replayer(parse(serialize(log)));
+        replay::VerifyOptions forceThreaded;
+        forceThreaded.accelOverride = true;
+        forceThreaded.threaded = true;
+        const replay::VerifyResult r = replayer.verify(forceThreaded);
+        EXPECT_TRUE(r.ok) << implName(combo.impl);
+        EXPECT_FALSE(r.decisionOverrun) << implName(combo.impl);
+    }
 }
 
 TEST(Verify, CorruptDigestPinpointsIntervalAndWritesBundle)

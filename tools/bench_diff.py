@@ -18,6 +18,12 @@ of shared `tables` are diffed too, but informationally only: table
 rows mix host-noisy and simulated numbers, so only the curated
 `metrics` map gates.
 
+A document may also declare absolute floors under `gates`
+({"metric": {"min": value}}, from JsonReport::gate). Every floor
+declared by either document is enforced on the candidate: a candidate
+below a floor, or missing a gated metric, fails whatever the baseline
+measured.
+
 Shared-runner numbers are noisy: the default threshold is generous,
 and CI treats this as a smoke check on the committed baselines, not a
 microbenchmark gate.
@@ -152,11 +158,27 @@ def main(argv):
     for name in only_cand:
         print(f"  {name}: only in candidate")
 
+    gates = dict(base_doc.get("gates", {}))
+    gates.update(cand_doc.get("gates", {}))
+    for name in sorted(gates):
+        floor = float(gates[name]["min"])
+        if name not in cand:
+            print(f"  gate {name} >= {floor:g}: missing in candidate "
+                  f"FAILED")
+            regressions.append(name)
+            continue
+        ok = float(cand[name]) >= floor
+        print(f"  gate {name} >= {floor:g}: {float(cand[name]):.4f} "
+              f"{'ok' if ok else 'FAILED'}")
+        if not ok:
+            regressions.append(name)
+
     diff_tables(base_doc, cand_doc)
 
     if regressions:
         print(f"\n{len(regressions)} metric(s) regressed past "
-              f"{threshold:.0%}: {', '.join(regressions)}")
+              f"{threshold:.0%} or failed a gate: "
+              f"{', '.join(regressions)}")
         return 1
     print("\nno regressions past threshold")
     return 0

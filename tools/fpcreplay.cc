@@ -53,7 +53,7 @@ struct Options
     unsigned banks = 4;
     std::uint64_t timeslice = 0;
     bool accel = true;
-    bool threaded = false;             ///< verify: threaded backend
+    bool threaded = Machine::threadedSupported(); ///< threaded backend
     std::optional<bool> accelOverride; ///< verify: force accel on/off
     Tick interval = 10000;
     std::string entryModule;
@@ -86,14 +86,16 @@ printUsage(std::ostream &os, const char *argv0)
           "digests (default 10000)\n"
           "  --entry=Mod.proc                entry point\n"
           "verify options:\n"
-          "  --accel=on|off|threaded         force the host backend "
-          "(digests must not care)\n"
           "  --postmortem-dir=DIR            write a divergence bundle "
           "on mismatch\n"
           "diverge options:\n"
           "  --engine=I1|I2|I3|I4            the engine to compare "
           "against\n"
           "common options:\n"
+          "  --accel=threaded|on|off         host backend (default "
+          "threaded); digests\n"
+          "                                  must match on every "
+          "backend\n"
           "  --log-level=error|warn|info|debug  stderr verbosity "
           "(default info)\n"
           "  --help                          show this help\n";
@@ -155,6 +157,7 @@ parseArgs(int argc, char **argv)
             const std::string v = value("--accel=");
             if (v == "on") {
                 opt.accel = true;
+                opt.threaded = false;
             } else if (v == "off") {
                 opt.accel = false;
             } else if (v == "threaded") {
@@ -256,6 +259,7 @@ doRecord(const Options &opt)
     config.numBanks = opt.banks;
     config.timesliceSteps = opt.timeslice;
     config.accel.enabled = opt.accel;
+    config.accel.threaded = opt.threaded;
     Machine machine(mem, image, config);
 
     replay::Recorder recorder;

@@ -53,7 +53,7 @@ struct Options
     bool shortCalls = false;
     bool stats = false;
     bool accel = true;
-    bool threaded = false;
+    bool threaded = Machine::threadedSupported();
     bool accelStats = false;
     bool synthetic = false;
     unsigned depth = 8; ///< synthetic entry argument
@@ -98,12 +98,12 @@ printUsage(std::ostream &os, const char *argv0)
           "  --depth=N                       synthetic recursion depth\n"
           "  --entry=Mod.proc                entry point\n"
           "  --stats                         dump merged statistics\n"
-          "  --accel=on|off|threaded         host backend: burst, off, "
-          "or threaded-code\n"
-          "                                  superblocks (simulated "
-          "numbers are identical\n"
-          "                                  in every mode; default "
-          "on)\n"
+          "  --accel=threaded|on|off         host backend: threaded-code "
+          "superblocks\n"
+          "                                  (default), burst, or off "
+          "(simulated numbers\n"
+          "                                  are identical in every "
+          "mode)\n"
           "  --accel-stats                   dump merged host cache "
           "counters\n"
           "  --trace-out=FILE                write a Chrome/Perfetto "
@@ -129,11 +129,11 @@ printUsage(std::ostream &os, const char *argv0)
           "                                  9973; prime to avoid "
           "loop aliasing)\n"
           "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (forces the\n"
-          "                                  eager loop; default). "
-          "sampled: bounded-slop\n"
-          "                                  boundary samples, accel "
-          "fast paths kept\n"
+          "sampler (default; the\n"
+          "                                  burst backend runs it "
+          "eagerly). sampled:\n"
+          "                                  bounded-slop boundary "
+          "samples\n"
           "  --stats-json=FILE               write merged statistics "
           "as JSON\n"
           "  --metrics-out=FILE              write a fpc-metrics-v1 "
@@ -234,6 +234,7 @@ parseArgs(int argc, char **argv)
             const std::string v = value("--accel=");
             if (v == "on") {
                 opt.accel = true;
+                opt.threaded = false;
             } else if (v == "off") {
                 opt.accel = false;
             } else if (v == "threaded") {
@@ -389,8 +390,7 @@ try {
 
     // Dynamic probes ride the selective-deopt path: only superblocks
     // covering a probed procedure fall back to the eager loop, so
-    // probes are deliberately absent from the forcesEager warning
-    // below.
+    // probes are deliberately absent from the warning below.
     obs::ProbeRegistry probeRegistry;
     if (!opt.probeSpecs.empty()) {
         std::string perr;
@@ -402,19 +402,26 @@ try {
         rc.probes = &probeRegistry;
     }
 
-    // Exact observation forces every worker's eager loop: say so
-    // once, up front, rather than letting an accelerated run
+    // Say once, up front, when what every worker attaches will demote
+    // the accelerated backend to the eager loop, from the predicate
+    // Machine::run() gates on, rather than letting an accelerated run
     // silently lose its speedup.
-    const bool forcesEager =
-        rc.trace || rc.profile || rc.record ||
-        !rc.postmortemDir.empty() || (rc.metrics && !rc.metricsSampled);
-    if (opt.accel && forcesEager) {
-        warn("fpcrun: exact observation (--profile/--trace-out/"
-             "--record-out/--postmortem-dir/exact metrics) forces the "
-             "eager loop; --accel={} keeps only its XFER caches. Use "
-             "--profile-sampled / --telemetry-mode=sampled to keep "
-             "the fast path",
-             opt.threaded ? "threaded" : "on");
+    const bool observed =
+        rc.trace || rc.profile || !rc.postmortemDir.empty();
+    const bool sampled =
+        rc.record || (rc.metrics && !rc.metricsSampled);
+    if (Machine::accelDemoted(rc.machine.accel, observed, sampled,
+                              opt.timeslice > 0)) {
+        if (observed)
+            warn("fpcrun: --profile/--trace-out/--postmortem-dir "
+                 "observe every XFER, which forces the eager loop; "
+                 "--accel={} keeps only its XFER caches. Use "
+                 "--profile-sampled to keep the fast path",
+                 opt.threaded ? "threaded" : "on");
+        else
+            warn("fpcrun: exact metrics, --record-out and --timeslice "
+                 "force the burst loop (--accel=on) onto the eager loop; "
+                 "--accel=threaded keeps its fast path");
     }
     // Batch spans: the runtime synthesizes request ⊃ queued ⊃ execute
     // trees per job (host time only — simulated numbers untouched).

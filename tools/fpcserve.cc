@@ -68,9 +68,9 @@ printUsage(std::ostream &os, const char *argv0)
           "  --banks=N                       register banks (I4)\n"
           "  --timeslice=N                   preempt every N "
           "instructions\n"
-          "  --accel=on|off|threaded         host backend: burst, off, "
-          "or threaded-code\n"
-          "                                  superblocks (default on)\n"
+          "  --accel=threaded|on|off         host backend: threaded-code "
+          "superblocks\n"
+          "                                  (default), burst, or off\n"
           "  --queue-capacity=N              admitted-job bound across "
           "tenants (default 256)\n"
           "  --max-inflight=N                jobs on the pool at once "
@@ -98,12 +98,11 @@ printUsage(std::ostream &os, const char *argv0)
        << obs::Telemetry::defaultInterval
        << ")\n"
           "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (forces the\n"
-          "                                  eager loop on every "
-          "worker; default).\n"
-          "                                  sampled: bounded-slop "
-          "boundary samples,\n"
-          "                                  accel fast paths kept\n"
+          "sampler (default; the\n"
+          "                                  burst backend runs it "
+          "eagerly). sampled:\n"
+          "                                  bounded-slop boundary "
+          "samples\n"
           "  --openmetrics-out=FILE          write the series as "
           "OpenMetrics text at drain\n"
           "  --spans-out=FILE                write request spans as "
@@ -209,6 +208,7 @@ parseArgs(int argc, char **argv)
             const std::string v = value("--accel=");
             if (v == "on") {
                 sc.machine.accel.enabled = true;
+                sc.machine.accel.threaded = false;
             } else if (v == "off") {
                 sc.machine.accel.enabled = false;
             } else if (v == "threaded") {
@@ -318,19 +318,24 @@ parseArgs(int argc, char **argv)
     }
     sc.spans = !opt.spansOut.empty() || !opt.traceOut.empty();
     sc.trace = !opt.traceOut.empty();
-    // Exact observation forces every worker's eager loop: say so
-    // once, up front, rather than letting an accelerated server
-    // silently lose its speedup. (Spans are host-time only and do
-    // not force anything.)
-    const bool forcesEager =
-        sc.trace || !sc.postmortemDir.empty() ||
-        (sc.metrics && !sc.metricsSampled);
-    if (sc.machine.accel.enabled && forcesEager) {
-        warn("fpcserve: exact observation (--trace-out/"
-             "--postmortem-dir/exact metrics) forces the eager loop; "
-             "--accel={} keeps only its XFER caches. Use "
-             "--telemetry-mode=sampled to keep the fast path",
-             sc.machine.accel.threaded ? "threaded" : "on");
+    // Say once, up front, when what every worker attaches will demote
+    // the accelerated backend to the eager loop, from the predicate
+    // Machine::run() gates on, rather than letting an accelerated
+    // server silently lose its speedup. (Spans are host-time only and
+    // do not force anything.)
+    const bool observed = sc.trace || !sc.postmortemDir.empty();
+    const bool sampled = sc.metrics && !sc.metricsSampled;
+    if (Machine::accelDemoted(sc.machine.accel, observed, sampled,
+                              sc.machine.timesliceSteps > 0)) {
+        if (observed)
+            warn("fpcserve: --trace-out/--postmortem-dir observe every "
+                 "XFER, which forces the eager loop; --accel={} keeps "
+                 "only its XFER caches",
+                 sc.machine.accel.threaded ? "threaded" : "on");
+        else
+            warn("fpcserve: exact metrics and --timeslice force the "
+                 "burst loop (--accel=on) onto the eager loop; "
+                 "--accel=threaded keeps its fast path");
     }
     return opt;
 }

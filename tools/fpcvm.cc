@@ -54,7 +54,7 @@ struct Options
     bool stats = false;
     bool disasm = false;
     bool accel = true;
-    bool threaded = false;
+    bool threaded = Machine::threadedSupported();
     bool accelStats = false;
     unsigned banks = 4;
     std::uint64_t timeslice = 0;
@@ -92,12 +92,12 @@ printUsage(std::ostream &os, const char *argv0)
           "instructions\n"
           "  --entry=Mod.proc                entry point\n"
           "  --stats                         dump machine statistics\n"
-          "  --accel=on|off|threaded         host backend: burst, off, "
-          "or threaded-code\n"
-          "                                  superblocks (simulated "
-          "numbers are identical\n"
-          "                                  in every mode; default "
-          "on)\n"
+          "  --accel=threaded|on|off         host backend: threaded-code "
+          "superblocks\n"
+          "                                  (default), burst, or off "
+          "(simulated numbers\n"
+          "                                  are identical in every "
+          "mode)\n"
           "  --accel-stats                   dump host cache counters\n"
           "  --disasm                        dump the loaded code\n"
           "  --trace-out=FILE                write a Chrome/Perfetto "
@@ -122,11 +122,11 @@ printUsage(std::ostream &os, const char *argv0)
           "                                  9973; prime to avoid "
           "loop aliasing)\n"
           "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (forces the\n"
-          "                                  eager loop; default). "
-          "sampled: bounded-slop\n"
-          "                                  boundary samples, accel "
-          "fast paths kept\n"
+          "sampler (default; the\n"
+          "                                  burst backend runs it "
+          "eagerly). sampled:\n"
+          "                                  bounded-slop boundary "
+          "samples\n"
           "  --stats-json=FILE               write statistics as JSON\n"
           "  --metrics-out=FILE              write a fpc-metrics-v1 "
           "time series\n"
@@ -215,6 +215,7 @@ parseArgs(int argc, char **argv)
             const std::string v = value("--accel=");
             if (v == "on") {
                 opt.accel = true;
+                opt.threaded = false;
             } else if (v == "off") {
                 opt.accel = false;
             } else if (v == "threaded") {
@@ -506,25 +507,31 @@ try {
         machine.setBoundarySampler(&boundaryFan,
                                    boundaryFan.machineInterval());
 
-    // Exact observation forces the eager loop: say so once, up
-    // front, rather than letting an accelerated run silently lose
-    // its speedup.
-    const bool forcesEager =
-        !opt.traceOut.empty() || opt.profile ||
-        !opt.postmortemDir.empty() || !opt.recordOut.empty() ||
-        (telemetryWanted && !opt.telemetrySampled);
-    if (opt.accel && forcesEager) {
-        warn("fpcvm: exact observation (--profile/--trace-out/"
-             "--record-out/--postmortem-dir/exact metrics) forces the "
-             "eager loop; --accel={} keeps only its XFER caches. Use "
-             "--profile-sampled / --telemetry-mode=sampled to keep "
-             "the fast path",
-             opt.threaded ? "threaded" : "on");
+    // Say once, up front, when what is attached will demote the
+    // accelerated backend to the eager loop, from the predicate
+    // Machine::run() gates on, rather than letting an accelerated run
+    // silently lose its speedup.
+    const bool observed = !opt.traceOut.empty() || opt.profile ||
+                          !opt.postmortemDir.empty();
+    const bool sampled = !opt.recordOut.empty() ||
+                         (telemetryWanted && !opt.telemetrySampled);
+    if (Machine::accelDemoted(config.accel, observed, sampled,
+                              opt.timeslice > 0)) {
+        if (observed)
+            warn("fpcvm: --profile/--trace-out/--postmortem-dir observe "
+                 "every XFER, which forces the eager loop; --accel={} "
+                 "keeps only its XFER caches. Use --profile-sampled to "
+                 "keep the fast path",
+                 opt.threaded ? "threaded" : "on");
+        else
+            warn("fpcvm: exact metrics, --record-out and --timeslice "
+                 "force the burst loop (--accel=on) onto the eager loop; "
+                 "--accel=threaded keeps its fast path");
     }
 
     // Dynamic probes: zero simulated cost and accel-safe (only the
     // armed procedures deoptimize), so they are deliberately absent
-    // from forcesEager above.
+    // from the warning above.
     obs::ProbeRegistry probeRegistry;
     std::optional<obs::ProbeEngine> probeEngine;
     if (!opt.probeSpecs.empty()) {
