@@ -58,18 +58,15 @@ threadedDispatchSupported()
 /** Host-acceleration knobs (all host-side; no simulated effect). */
 struct AccelConfig
 {
-    /** Master switch; off runs the original interpret-everything path. */
+    /** Master switch; off runs the original interpret-everything path,
+     *  on runs the threaded-code backend (machine/threaded.hh) wherever
+     *  threadedDispatchSupported(), else the eager loop with the
+     *  icache and link caches. */
     bool enabled = true;
     /** Predecoded icache entries (power of two). */
     unsigned icacheEntries = 1u << 14;
     /** Entries per link-cache flavor (power of two). */
     unsigned linkEntries = 1u << 8;
-    /** Threaded-code backend: computed-goto dispatch over superblocks
-     *  (see machine/threaded.hh). Requires enabled. The default
-     *  wherever the toolchain can build it; false selects the burst
-     *  loop. Callers reject an explicit request up front on toolchains
-     *  without the computed-goto extension. */
-    bool threaded = threadedDispatchSupported();
     /** Superblock cache entries (power of two). */
     unsigned sblockEntries = 1u << 12;
 };
@@ -180,9 +177,8 @@ class Accel
         return nullptr;
     }
 
-    /** Counter-free probe for the batched fast loop: the caller
-     *  accounts hits and misses at burst granularity instead of
-     *  bumping a counter on every step. */
+    /** Counter-free probe: a lookup that is not an instruction fetch
+     *  and so counts as neither hit nor miss. */
     const isa::Inst *
     probeInst(CodeByteAddr pc) const
     {

@@ -135,13 +135,9 @@ Machine::Machine(Memory &memory, const LoadedImage &image,
     if (config_.accel.enabled)
         accel_ = std::make_unique<Accel>(config_.accel, image,
                                          memory.codeEpoch());
-    if (config_.accel.enabled && config_.accel.threaded) {
-        if (!threadedSupported())
-            panic("threaded backend requested but not supported by "
-                  "this build");
+    if (config_.accel.enabled && threadedDispatchSupported())
         sblocks_ = std::make_unique<SuperblockCache>(
             config_.accel.sblockEntries, memory.codeEpoch());
-    }
     if (banked()) {
         const unsigned payload =
             std::min(config_.fastFramePayloadWords,
@@ -546,9 +542,9 @@ Machine::startContext(Word descriptor, std::span<const Word> args)
 {
     stop_ = StopReason::Running;
     result_ = RunResult();
-    // The entry call resolves before run()'s per-burst epoch poll
-    // gets a chance: catch host-side patches (loader, relocator)
-    // that happened between runs here.
+    // The entry call resolves before run()'s epoch poll gets a
+    // chance: catch host-side patches (loader, relocator) that
+    // happened between runs here.
     if (accel_)
         accel_->sync(mem_.codeEpoch());
     for (Word a : args)
@@ -580,124 +576,33 @@ Machine::stepInline()
 }
 
 bool
-Machine::accelDemoted(const AccelConfig &accel, bool observer,
-                      bool sampler, bool preemptible)
+Machine::accelDemoted(const AccelConfig &accel, bool observer)
 {
-    if (!accel.enabled)
-        return false;
-    if (observer)
-        return true;
-    return !accel.threaded && (sampler || preemptible);
+    return accel.enabled && observer;
 }
 
 RunResult
 Machine::run()
 {
-    // The threaded loop serves preemption and the exact sampler
-    // through its per-block deadline (threaded.cc). The burst loop
-    // cannot: with no preemption configured, maybePreempt() is a
-    // no-op and the burst path batches the per-step bookkeeping — the
-    // stop/step-limit checks and the code-epoch poll move to burst
-    // granularity, the pure-sum counters accumulate in a BurstAcc, and
-    // the inner loop is just the step core. The epoch cannot move
-    // inside a burst — the machine itself never pokes memory while
-    // running — so per-burst sync is exact; host-side patching between
-    // step() or run() calls is caught at the next (re)entry. A sampler
-    // or preemption sends the burst loop to the eager loop, because
-    // burst-granular accounting would move sample and switch points.
-    // An attached observer sends every backend there: XFER records
-    // stamp absolute cycles/steps, which deferred accounting would
-    // skew.
-    const bool preemptible =
-        config_.timesliceSteps != 0 && scheduler_ != nullptr;
-    const bool eager =
-        accel_ == nullptr ||
-        accelDemoted(config_.accel, observer_ != nullptr,
-                     sampler_ != nullptr, preemptible);
-    constexpr std::uint64_t burstSteps = 4096;
+    // Two loops. The threaded loop (threaded.cc) runs superblocks and
+    // serves preemption, the exact sampler and the step budget through
+    // its per-block deadline. The eager loop steps one instruction at
+    // a time and is the reference; it also runs accelerated machines
+    // (icache and link caches, no superblocks) when an XferObserver is
+    // attached — XFER records stamp absolute cycles/steps, which
+    // block-deferred accounting would skew — and on toolchains that
+    // cannot build the threaded loop.
+    const bool threaded =
+        sblocks_ != nullptr &&
+        !accelDemoted(config_.accel, observer_ != nullptr);
 
     std::uint64_t steps = 0;
     try {
-        if (!eager && sblocks_) {
+        if (threaded) {
             if (banked())
                 threadedLoopT<true>(steps);
             else
                 threadedLoopT<false>(steps);
-        } else if (!eager) {
-            while (stop_ == StopReason::Running) {
-                if (steps >= config_.maxSteps) {
-                    stopWith(StopReason::StepLimit,
-                             "step budget exhausted");
-                    break;
-                }
-                accel_->sync(mem_.codeEpoch());
-                const std::uint64_t burst =
-                    std::min(burstSteps, config_.maxSteps - steps);
-                std::uint64_t done = 0;
-                BurstAcc acc;
-                const auto flush = [&] {
-                    // acc.steps includes a step that threw (it is
-                    // bumped before execute, exactly like the eager
-                    // counter); `done` counts only completed steps,
-                    // exactly like the plain loop's run total.
-                    stats_.steps += acc.steps;
-                    stats_.cycles +=
-                        acc.steps * config_.latency.decodeCycles;
-                    mem_.chargeCodeBytes(acc.codeBytes);
-                    accel_->stats.icacheMisses += acc.icacheMisses;
-                    if (acc.steps >= acc.icacheMisses)
-                        accel_->stats.icacheHits +=
-                            acc.steps - acc.icacheMisses;
-                };
-                const bool armedChk =
-                    probes_ != nullptr && !armed_.empty();
-                try {
-                    if (armedChk) {
-                        // Selective deopt at burst granularity: a PC
-                        // inside an armed range takes one exact eager
-                        // step with the pending burst accounting
-                        // flushed first, so probe events there read
-                        // exact absolute stamps; unprobed code stays
-                        // batched.
-                        while (done < burst &&
-                               stop_ == StopReason::Running) {
-                            if (pcArmed(pcAbs_)) [[unlikely]] {
-                                flush();
-                                acc = BurstAcc();
-                                ++accel_->stats.probeEagerSteps;
-                                stepCoreT<true, false>();
-                            } else {
-                                stepCoreT<true, true>(&acc);
-                            }
-                            ++done;
-                        }
-                    } else {
-                        while (done < burst &&
-                               stop_ == StopReason::Running) {
-                            stepCoreT<true, true>(&acc);
-                            ++done;
-                        }
-                    }
-                } catch (...) {
-                    flush();
-                    steps += done;
-                    throw;
-                }
-                flush();
-                steps += done;
-                // Boundary sampling: the per-burst flush above folded
-                // every batched counter, so this is an exact point —
-                // slop is bounded by one burst. Anchor to the last
-                // executed instruction: when the budget expires inside
-                // a transfer, pc() already points at the destination,
-                // but the cycles belong to the source — the same
-                // charge-to-source convention the exact profiler uses.
-                if (bsampler_ != nullptr &&
-                    stats_.cycles >= bsampleNextAt_) [[unlikely]] {
-                    bsampleAnchorPc_ = instStart_;
-                    fireBoundarySample();
-                }
-            }
         } else {
             while (stop_ == StopReason::Running) {
                 if (steps >= config_.maxSteps) {
@@ -739,9 +644,9 @@ Machine::stepCore()
         stepCoreT<false>();
 }
 
-template <bool WithAccel, bool Batched>
+template <bool WithAccel>
 [[gnu::always_inline]] inline void
-Machine::stepCoreT(BurstAcc *acc)
+Machine::stepCoreT()
 {
     instStart_ = pcAbs_;
     isa::Inst decoded;
@@ -750,20 +655,11 @@ Machine::stepCoreT(BurstAcc *acc)
         // The real decode fetches exactly inst.length code bytes (no
         // cycles: the IFU prefetches); a hit replays that. Executing
         // through the cached entry is safe: the icache is only
-        // written here, never during execute(). The batched loop uses
-        // the counter-free probe and recovers the hit count at burst
-        // flush.
-        const isa::Inst *cached = Batched ? accel_->probeInst(pcAbs_)
-                                          : accel_->findInst(pcAbs_);
-        if (cached) {
-            if constexpr (Batched)
-                acc->codeBytes += cached->length;
-            else
-                mem_.chargeCodeBytes(cached->length);
+        // written here, never during execute().
+        if (const isa::Inst *cached = accel_->findInst(pcAbs_)) {
+            mem_.chargeCodeBytes(cached->length);
             inst = cached;
         } else {
-            if constexpr (Batched)
-                ++acc->icacheMisses;
             decoded = isa::decode(
                 [this](unsigned i) { return fetchCodeByte(i); });
             accel_->storeInst(pcAbs_, decoded);
@@ -776,14 +672,8 @@ Machine::stepCoreT(BurstAcc *acc)
     }
     pcAbs_ += inst->length;
 
-    if constexpr (Batched) {
-        // steps and decode cycles flush at burst end: the count is
-        // the accumulated steps, the cycles are steps x decodeCycles.
-        ++acc->steps;
-    } else {
-        ++stats_.steps;
-        stats_.cycles += config_.latency.decodeCycles;
-    }
+    ++stats_.steps;
+    stats_.cycles += config_.latency.decodeCycles;
     ++stats_.opCount[static_cast<std::uint8_t>(inst->op)];
     if (inst->length < stats_.instLenCount.size())
         ++stats_.instLenCount[inst->length];
@@ -792,9 +682,9 @@ Machine::stepCoreT(BurstAcc *acc)
 }
 
 // stepCoreT is declared in machine.hh but defined only here: emit the
-// plain accelerated variant out of line too, so a caller in another
+// accelerated variant out of line too, so a caller in another
 // translation unit links at every optimization level.
-template void Machine::stepCoreT<true, false>(BurstAcc *);
+template void Machine::stepCoreT<true>();
 
 void
 Machine::chargeLinkWalk(CountT table_reads, CountT code_bytes)

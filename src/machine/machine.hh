@@ -181,16 +181,15 @@ class CycleSampler
  * boundary sampler costs no exact steps on any backend: the
  * accelerated backends check the cycle budget only where their deferred
  * accounting is (or can cheaply be made) exact — the threaded loop's
- * block-exit and chain-follow sites and the burst loop's per-burst
- * flush — so onBoundarySample fires at the first such boundary at or
- * past each interval multiple. The documented slop contract: the
- * firing cycle exceeds the nominal interval multiple by at most one
- * superblock (≤ 64 instructions, threaded) or one burst (≤ 4096
- * instructions, burst) worth of cycles; the eager loop fires exactly
- * like a CycleSampler (≤ 1 instruction of slop). Deferred
- * opcode/length histograms and accel counters are folded before the
- * hook runs, so the machine the hook reads is self-consistent. Reads
- * must be unaccounted; the hook charges zero simulated cycles.
+ * block-exit and chain-follow sites — so onBoundarySample fires at
+ * the first such boundary at or past each interval multiple. The
+ * documented slop contract: the firing cycle exceeds the nominal
+ * interval multiple by at most one superblock (≤ 64 instructions)
+ * worth of cycles; the eager loop fires exactly like a CycleSampler
+ * (≤ 1 instruction of slop). Deferred opcode/length histograms and
+ * accel counters are folded before the hook runs, so the machine the
+ * hook reads is self-consistent. Reads must be unaccounted; the hook
+ * charges zero simulated cycles.
  */
 class BoundarySampler
 {
@@ -211,17 +210,16 @@ struct ProbeRange
  * Dynamic-probe hook; attach with Machine::setProbeSink. Unlike an
  * XferObserver, an attached probe sink does NOT force the eager loop:
  * the callbacks fire from inside the member transfer/frame/trap code
- * all three backends share, where the accelerated loops' deferred
- * counters are constant, so the refs/cycles deltas delivered here are
- * exact under every backend. Absolute readings (machine.cycles(),
- * stats().steps) obey a bounded-slop contract instead: events fired
- * from unprobed threaded/burst code may lag the eager loop's stamps
- * by at most one superblock or one burst of decode cycles, while
- * events inside an armed range are exact — arming deoptimizes just
- * the superblocks/bursts containing those PCs to the eager path
- * (selective deopt; see setProbeSink). The hooks charge zero
- * simulated cycles, so all simulated numbers are byte-identical with
- * any probe set attached.
+ * both loops share, where the threaded loop's deferred counters are
+ * constant, so the refs/cycles deltas delivered here are exact under
+ * every backend. Absolute readings (machine.cycles(), stats().steps)
+ * obey a bounded-slop contract instead: events fired from unprobed
+ * threaded code may lag the eager loop's stamps by at most one
+ * superblock of decode cycles, while events inside an armed range are
+ * exact — arming deoptimizes just the superblocks containing those
+ * PCs to the eager path (selective deopt; see setProbeSink). The
+ * hooks charge zero simulated cycles, so all simulated numbers are
+ * byte-identical with any probe set attached.
  */
 class ProbeSink
 {
@@ -316,8 +314,7 @@ class Machine
      *  null detaches. Sample points stay byte-identical across
      *  backends: the threaded loop enters a superblock only when the
      *  block cannot cross the next sample point before its last
-     *  instruction, and steps eagerly otherwise; the burst loop still
-     *  gives way to the eager loop (see accelDemoted). */
+     *  instruction, and steps eagerly otherwise. */
     void setSampler(CycleSampler *sampler, Tick interval_cycles);
     CycleSampler *sampler() const { return sampler_; }
 
@@ -351,7 +348,7 @@ class Machine
      *  code ranges whose events need exact absolute stamps (probed
      *  procedures): superblocks intersecting an armed range are
      *  invalidated and those PCs execute on the exact eager path,
-     *  while unprobed code keeps full threaded/burst speed. An
+     *  while unprobed code keeps full threaded speed. An
      *  attached sink does not force the eager loop — the detached
      *  cost is one pointer null-check per transfer/frame/trap and the
      *  armed check costs nothing until a sink is attached. */
@@ -412,23 +409,16 @@ class Machine
     }
     bool accelEnabled() const { return accel_ != nullptr; }
 
-    /** True when this build can run the threaded-code backend (the
-     *  computed-goto dispatch needs the GNU label-address extension).
-     *  Callers must reject --accel=threaded up front when false. */
-    static bool threadedSupported();
     /** True when the threaded backend is configured on this machine
      *  (run() still falls back to the eager loop for observers). */
     bool threadedActive() const { return sblocks_ != nullptr; }
 
     /** True when an accelerated machine configured as `accel` would
      *  run() on the eager per-step loop anyway: an XferObserver
-     *  demotes every backend (its records stamp absolute cycles per
-     *  transfer); the burst loop also gives way to a CycleSampler and
-     *  to timeslice preemption, which the threaded loop serves through
-     *  its per-block deadline. run() gates on this predicate, and
-     *  drivers warn from it before any machine exists. */
-    static bool accelDemoted(const AccelConfig &accel, bool observer,
-                             bool sampler, bool preemptible);
+     *  demotes it (its records stamp absolute cycles per transfer).
+     *  run() gates on this predicate, and drivers warn from it before
+     *  any machine exists. */
+    static bool accelDemoted(const AccelConfig &accel, bool observer);
 
     /** @name Microarchitectural state, for experiments/diagnostics. @{ */
     const BankFile &banks() const { return banks_; }
@@ -529,32 +519,13 @@ class Machine
 
     // -- interpreter ---------------------------------------------------
     void execute(const isa::Inst &inst);
-    /** Per-burst accumulators for the run() fast path: bookkeeping
-     *  that is a pure sum over the burst (step count, decode cycles,
-     *  hit-path code-byte charges) accumulates here and flushes into
-     *  the real counters once per burst. Exact because only XFER
-     *  probes read these counters mid-run, and they take deltas,
-     *  which a pending constant offset cannot change. Not used when
-     *  an observer is attached: XFER records carry absolute
-     *  cycle/step stamps, which pending offsets would skew. */
-    struct BurstAcc
-    {
-        std::uint64_t steps = 0;
-        CountT codeBytes = 0;
-        /** Icache misses this burst; hits are recovered at flush time
-         *  as steps - misses (host-side counters, so the ±1 skew of a
-         *  decode that throws mid-burst is tolerable). */
-        CountT icacheMisses = 0;
-    };
     /** One instruction, without the stop check / epoch sync /
-     *  preemption poll that step() wraps around it (the run() fast
-     *  path batches those). The template parameters fold the accel
-     *  null-check and the batched-accounting choice out of the
-     *  per-step path: each loop knows statically which variant it
-     *  runs. Forced inline (machine.cc), so no loop pays a call per
+     *  preemption poll that step() wraps around it. The template
+     *  parameter folds the accel null-check out of the per-step path.
+     *  Forced inline (machine.cc), so the eager loop pays no call per
      *  step. */
-    template <bool WithAccel, bool Batched = false>
-    void stepCoreT(BurstAcc *acc = nullptr);
+    template <bool WithAccel>
+    void stepCoreT();
     void stepCore();
     /** step()'s body, forced inline into run()'s eager loop (the
      *  threaded loop calls step() too, so the compiler would no longer

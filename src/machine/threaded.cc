@@ -31,12 +31,6 @@ static_assert(FPC_THREADED_DISPATCH == fpc::threadedDispatchSupported());
 namespace fpc
 {
 
-bool
-Machine::threadedSupported()
-{
-    return threadedDispatchSupported();
-}
-
 // ---------------------------------------------------------------------
 // SuperblockCache
 // ---------------------------------------------------------------------
@@ -472,8 +466,7 @@ buildBlock(Memory &mem, CodeByteAddr entry, const void *const *labels,
  *  before execute(), plus the spill of the register-cached stack
  *  pointer. Fast paths skip this entirely — nothing they call reads
  *  instStart_/pcAbs_/sp_, traps only happen behind the guards, and
- *  the store-port traffic of three spills per instruction is the
- *  difference between matching and beating the burst loop. The
+ *  skipping it saves three store-port spills per instruction. The
  *  members are re-established at every place control can leave the
  *  fast path: slow bodies and terminals run this macro, a taken side
  *  exit and the BlockEnd sentinel restore them by hand, and the
@@ -954,9 +947,8 @@ Machine::threadedLoopT(std::uint64_t &steps)
                 prev != nullptr ? prev->entry : instStart_;
             fireBoundarySample();
         }
-        // Per-iteration epoch poll, as the burst loop does: the
-        // machine never pokes code while running, so the epoch cannot
-        // move inside a block.
+        // Per-iteration epoch poll: the machine never pokes code while
+        // running, so the epoch cannot move inside a block.
         acc->sync(mem_.codeEpoch());
         if (cache.sync(mem_.codeEpoch(), stats_, acc->stats))
             prev = nullptr;
@@ -1696,8 +1688,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
             // A handler threw (storage panic): the prefix through the
             // throwing instruction is charged exactly like the eager
             // loop, whose counters include the instruction that threw;
-            // the run-steps total, like the burst loop's, counts only
-            // completed instructions.
+            // the run-steps total counts only completed instructions.
             const std::uint64_t k =
                 static_cast<std::uint64_t>(ti - base) + 1;
             stats_.steps += k;
@@ -1737,10 +1728,9 @@ template <bool Banked>
 void
 Machine::threadedLoopT(std::uint64_t &steps)
 {
-    // No label-address extension on this toolchain:
-    // threadedSupported() is false and the constructor refuses the
-    // configuration, so this body is unreachable; keep an exact eager
-    // loop as belt and braces.
+    // No label-address extension on this toolchain: the constructor
+    // builds no superblock cache, so run() never calls this; keep an
+    // exact eager loop as belt and braces.
     while (stop_ == StopReason::Running) {
         if (steps >= config_.maxSteps) {
             stopWith(StopReason::StepLimit, "step budget exhausted");

@@ -22,8 +22,8 @@
  *    hit re-enters the next block without touching the cache index.
  *
  * The contract is the acceleration contract (machine/accel.hh): all
- * simulated numbers are bit-identical with the backend off, on, or
- * threaded. Preemption, the exact sampler and the step budget share
+ * simulated numbers are bit-identical with the backend off or on.
+ * Preemption, the exact sampler and the step budget share
  * one per-block deadline: a block is entered (or chained into) only
  * when its static step count fits before the budget and the
  * timeslice expiry, and the cycle ceiling of its non-final

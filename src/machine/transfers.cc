@@ -59,7 +59,7 @@ struct Machine::XferProbe
         if (refs == 0 && !m.xferRedirected_)
             ++s.xferFast[kindIndex(kind)];
         // Dynamic probes sample the same deltas; the deferred
-        // burst/threaded counters are constant across the member
+        // threaded counters are constant across the member
         // transfer code bracketed here, so refs/cycles are exact
         // under every backend (machine.hh ProbeSink contract).
         if (m.probes_ != nullptr)

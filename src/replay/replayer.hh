@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "machine/accel.hh"
 #include "program/module.hh"
 #include "replay/record.hh"
 
@@ -46,13 +45,6 @@ struct VerifyOptions
      *  recording — digests must be invariant, so this *tests* the
      *  acceleration contract rather than weakening verification. */
     std::optional<bool> accelOverride;
-    /** Replay on the threaded-code backend when acceleration is on
-     *  (the default wherever it is supported; false selects the burst
-     *  loop, which the verifier's sampler sends to the eager loop).
-     *  The threaded loop keeps its superblocks under the verifier's
-     *  sampler and the recorded timeslice, so this checks its
-     *  per-block deadline against the recording bit-for-bit. */
-    bool threaded = threadedDispatchSupported();
     /** When nonempty, a divergence writes
      *  "<dir>/job-<id>-divergence.json". */
     std::string divergenceDir;

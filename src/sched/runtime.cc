@@ -18,13 +18,6 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config))
 {
     if (config_.workers == 0)
         config_.workers = 1;
-    // Fail the whole runtime up front rather than panicking on a
-    // worker thread mid-run: every worker machine would hit the same
-    // constructor check.
-    if (config_.machine.accel.enabled && config_.machine.accel.threaded &&
-        !Machine::threadedSupported())
-        panic("threaded backend requested but not supported by this "
-              "build");
 }
 
 Runtime::~Runtime()
@@ -211,8 +204,8 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     // Dynamic probes: compile the registry's current snapshot against
     // this job's image and attach as the machine's probe sink.
     // Entry/exit sites arm their procedures' code ranges, so the
-    // accelerated backends deoptimize only the superblocks/bursts
-    // containing probed PCs; everything else keeps full speed.
+    // threaded backend deoptimizes only the superblocks containing
+    // probed PCs; everything else keeps full speed.
     std::optional<obs::ProbeEngine> probeEngine;
     if (config_.probes != nullptr) {
         obs::ProbeRegistry::Snapshot snap = config_.probes->snapshot();

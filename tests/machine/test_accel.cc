@@ -27,32 +27,17 @@ namespace fpc
 namespace
 {
 
-/** The three host execution backends under test. */
+/** The two host execution backends under test. */
 enum class Mode
 {
-    Off,      ///< eager per-step loop
-    On,       ///< burst loop (icache + link caches)
-    Threaded, ///< computed-goto superblocks
+    Off, ///< eager per-step loop, the reference
+    On,  ///< computed-goto superblocks
 };
-
-const Mode allModes[] = {Mode::Off, Mode::On, Mode::Threaded};
-
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-      case Mode::Off: return "off";
-      case Mode::On: return "on";
-      case Mode::Threaded: return "threaded";
-      default: return "?";
-    }
-}
 
 void
 applyMode(MachineConfig &config, Mode mode)
 {
     config.accel.enabled = mode != Mode::Off;
-    config.accel.threaded = mode == Mode::Threaded;
 }
 
 /** A call-heavy program: main loops n times, each iteration calling
@@ -235,13 +220,9 @@ TEST(AccelDeterminism, StatsJsonByteIdenticalOnEveryEngine)
         const RunOut off = runOnce(combo, Mode::Off, 200, false);
         ASSERT_EQ(off.reason, StopReason::TopReturn)
             << implName(combo.impl);
-        for (Mode mode : {Mode::On, Mode::Threaded}) {
-            const RunOut out = runOnce(combo, mode, 200, false);
-            EXPECT_EQ(off.value, out.value)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(off.statsJson, out.statsJson)
-                << implName(combo.impl) << " " << modeName(mode);
-        }
+        const RunOut out = runOnce(combo, Mode::On, 200, false);
+        EXPECT_EQ(off.value, out.value) << implName(combo.impl);
+        EXPECT_EQ(off.statsJson, out.statsJson) << implName(combo.impl);
     }
 }
 
@@ -259,14 +240,10 @@ TEST(AccelDeterminism, CompareBranchStatsIdenticalOnEveryEngine)
             << implName(combo.impl);
         EXPECT_EQ(off.value, static_cast<Word>(99 * 77))
             << implName(combo.impl);
-        for (Mode mode : {Mode::On, Mode::Threaded}) {
-            const RunOut out =
-                runOnce(combo, mode, 200, false, compareLoopModule);
-            EXPECT_EQ(off.value, out.value)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(off.statsJson, out.statsJson)
-                << implName(combo.impl) << " " << modeName(mode);
-        }
+        const RunOut out =
+            runOnce(combo, Mode::On, 200, false, compareLoopModule);
+        EXPECT_EQ(off.value, out.value) << implName(combo.impl);
+        EXPECT_EQ(off.statsJson, out.statsJson) << implName(combo.impl);
     }
 }
 
@@ -277,13 +254,9 @@ TEST(AccelDeterminism, TraceByteIdenticalWithObserverAttached)
     // stamps must come out identical.
     for (const EngineCombo &combo : combos) {
         const RunOut off = runOnce(combo, Mode::Off, 100, true);
-        for (Mode mode : {Mode::On, Mode::Threaded}) {
-            const RunOut out = runOnce(combo, mode, 100, true);
-            EXPECT_EQ(off.traceJson, out.traceJson)
-                << implName(combo.impl) << " " << modeName(mode);
-            EXPECT_EQ(off.statsJson, out.statsJson)
-                << implName(combo.impl) << " " << modeName(mode);
-        }
+        const RunOut out = runOnce(combo, Mode::On, 100, true);
+        EXPECT_EQ(off.traceJson, out.traceJson) << implName(combo.impl);
+        EXPECT_EQ(off.statsJson, out.statsJson) << implName(combo.impl);
     }
 }
 
@@ -299,7 +272,7 @@ TEST(AccelDeterminism, ObserverForcesEagerUnderThreaded)
     const LoadedImage image = loader.load(mem, LinkPlan{});
 
     MachineConfig config;
-    applyMode(config, Mode::Threaded);
+    applyMode(config, Mode::On);
     Machine machine(mem, image, config);
     obs::Tracer tracer;
     machine.setObserver(&tracer);
@@ -324,7 +297,7 @@ TEST(AccelDeterminism, SamplerKeepsThreadedFastPath)
     // unaccelerated run.
     unsigned counts[2] = {0, 0};
     std::string json[2];
-    const Mode modes[2] = {Mode::Off, Mode::Threaded};
+    const Mode modes[2] = {Mode::Off, Mode::On};
     for (int i = 0; i < 2; ++i) {
         const SystemLayout layout;
         Memory mem(layout.memWords);
@@ -340,7 +313,7 @@ TEST(AccelDeterminism, SamplerKeepsThreadedFastPath)
         machine.start("M", "main", std::array<Word, 1>{Word{100}});
         ASSERT_EQ(machine.run().reason, StopReason::TopReturn);
         counts[i] = sampler.samples;
-        if (modes[i] == Mode::Threaded) {
+        if (modes[i] == Mode::On) {
             EXPECT_GT(machine.accelStats().sblockExecs, 0u);
         }
         json[i] = statsJson(machine, StopReason::TopReturn);
@@ -355,7 +328,7 @@ TEST(AccelDeterminism, ThreadedFastPathActuallyEngages)
     // Sanity check on the force-eager test above: with no observer
     // attached the same workload does run through superblocks, so a
     // zero sblockExecs there means "fell back", not "never built".
-    if (!Machine::threadedSupported())
+    if (!threadedDispatchSupported())
         GTEST_SKIP() << "threaded backend not compiled in";
     const SystemLayout layout;
     Memory mem(layout.memWords);
@@ -364,7 +337,7 @@ TEST(AccelDeterminism, ThreadedFastPathActuallyEngages)
     const LoadedImage image = loader.load(mem, LinkPlan{});
 
     MachineConfig config;
-    applyMode(config, Mode::Threaded);
+    applyMode(config, Mode::On);
     Machine machine(mem, image, config);
     EXPECT_TRUE(machine.threadedActive());
     machine.start("M", "main", std::array<Word, 1>{Word{100}});
@@ -468,20 +441,16 @@ TEST(AccelDeadline, SliceAndSamplerMatrixMatchesEager)
                     EXPECT_GT(off.preemptions, 0u)
                         << implName(combo.impl);
                 }
-                for (Mode mode : {Mode::On, Mode::Threaded}) {
-                    const DeadlineOut out =
-                        runDeadline(combo, mode, slice, interval);
-                    expectSameAsEager(
-                        off, out,
-                        std::string(implName(combo.impl)) + " " +
-                            modeName(mode) + " slice " +
-                            std::to_string(slice) + " interval " +
-                            std::to_string(interval));
-                    if (mode == Mode::Threaded && slice >= 100 &&
-                        interval == 10000) {
-                        EXPECT_GT(out.sblockExecs, 0u)
-                            << implName(combo.impl);
-                    }
+                const DeadlineOut out =
+                    runDeadline(combo, Mode::On, slice, interval);
+                expectSameAsEager(off, out,
+                                  std::string(implName(combo.impl)) +
+                                      " slice " + std::to_string(slice) +
+                                      " interval " +
+                                      std::to_string(interval));
+                if (slice >= 100 && interval == 10000) {
+                    EXPECT_GT(out.sblockExecs, 0u)
+                        << implName(combo.impl);
                 }
             }
         }
@@ -491,23 +460,17 @@ TEST(AccelDeadline, SliceAndSamplerMatrixMatchesEager)
 TEST(AccelDeadline, DemotionPredicateMatchesTheBackends)
 {
     // The predicate run() gates on and the drivers warn from: only an
-    // observer demotes threaded; burst also gives way to a sampler or
-    // a timeslice; an unaccelerated machine is never "demoted".
-    AccelConfig threaded;
-    threaded.enabled = true;
-    threaded.threaded = true;
-    AccelConfig burst = threaded;
-    burst.threaded = false;
-    AccelConfig off = threaded;
+    // observer demotes the accelerated backend; an unaccelerated
+    // machine is never "demoted".
+    AccelConfig on;
+    on.enabled = true;
+    AccelConfig off = on;
     off.enabled = false;
 
-    EXPECT_TRUE(Machine::accelDemoted(threaded, true, false, false));
-    EXPECT_FALSE(Machine::accelDemoted(threaded, false, true, true));
-    EXPECT_TRUE(Machine::accelDemoted(burst, true, false, false));
-    EXPECT_TRUE(Machine::accelDemoted(burst, false, true, false));
-    EXPECT_TRUE(Machine::accelDemoted(burst, false, false, true));
-    EXPECT_FALSE(Machine::accelDemoted(burst, false, false, false));
-    EXPECT_FALSE(Machine::accelDemoted(off, true, true, true));
+    EXPECT_TRUE(Machine::accelDemoted(on, true));
+    EXPECT_FALSE(Machine::accelDemoted(on, false));
+    EXPECT_FALSE(Machine::accelDemoted(off, true));
+    EXPECT_FALSE(Machine::accelDemoted(off, false));
 }
 
 TEST(AccelDeadline, DataCacheCeilingMatchesEager)
@@ -520,7 +483,7 @@ TEST(AccelDeadline, DataCacheCeilingMatchesEager)
                 runDeadline(combo, Mode::Off, 100, interval, true);
             ASSERT_EQ(off.reason, StopReason::TopReturn);
             const DeadlineOut out =
-                runDeadline(combo, Mode::Threaded, 100, interval, true);
+                runDeadline(combo, Mode::On, 100, interval, true);
             expectSameAsEager(off, out,
                               std::string(implName(combo.impl)) +
                                   " interval " +
@@ -581,14 +544,11 @@ TEST(AccelInvalidation, PokeByteMidRunDropsStaleDecode)
     // the patch landed mid-run, not before or after.
     EXPECT_NE(off, static_cast<Word>(100 * 77));
     EXPECT_NE(off, static_cast<Word>(100 * 5));
-    for (Mode mode : {Mode::On, Mode::Threaded}) {
-        // The patch must take effect under acceleration (a stale
-        // cached decode of the old immediate would keep adding 77).
-        std::string json;
-        const Word value = patchMidRun(mode, &json);
-        EXPECT_EQ(value, off) << modeName(mode);
-        EXPECT_EQ(json, off_json) << modeName(mode);
-    }
+    // The patch must take effect under acceleration (a stale cached
+    // decode of the old immediate would keep adding 77).
+    std::string json;
+    EXPECT_EQ(patchMidRun(Mode::On, &json), off);
+    EXPECT_EQ(json, off_json);
 }
 
 TEST(AccelInvalidation, PokeByteInvalidatesWarmSuperblocks)
@@ -605,7 +565,7 @@ TEST(AccelInvalidation, PokeByteInvalidatesWarmSuperblocks)
     const LoadedImage image = loader.load(mem, LinkPlan{});
 
     MachineConfig config;
-    applyMode(config, Mode::Threaded);
+    applyMode(config, Mode::On);
     Machine machine(mem, image, config);
     machine.start("M", "main", std::array<Word, 1>{Word{50}});
     ASSERT_EQ(machine.run().reason, StopReason::TopReturn);

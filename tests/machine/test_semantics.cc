@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "asm/builder.hh"
 #include "common/logging.hh"
 #include "machine/machine.hh"
@@ -53,11 +56,26 @@ struct MiniRig
 // Arithmetic & comparison, parameterized
 // ---------------------------------------------------------------------
 
+/**
+ * One binary-op case. CTest names each case after the raw bytes of
+ * its parameter (`Computes/8-byte object <op-tag a b expect>`), so the
+ * struct has no padding: `tag` fills the byte after `op` that used to
+ * be uninitialized padding, which made the names change from build to
+ * build. The non-zero tags keep the names the cases are listed under.
+ */
 struct BinCase
 {
     isa::Op op;
+    std::uint8_t tag;
     Word a, b, expect;
+
+    constexpr BinCase(isa::Op op_, Word a_, Word b_, Word expect_,
+                      std::uint8_t tag_ = 0)
+        : op(op_), tag(tag_), a(a_), b(b_), expect(expect_)
+    {}
 };
+static_assert(std::has_unique_object_representations_v<BinCase>,
+              "every byte of BinCase is part of its test name");
 
 class BinaryOps : public testing::TestWithParam<BinCase>
 {};
@@ -86,30 +104,30 @@ INSTANTIATE_TEST_SUITE_P(
         BinCase{isa::Op::ADD, 0xFFFF, 1, 0},     // wraps
         BinCase{isa::Op::SUB, 3, 5, w(-2)},
         BinCase{isa::Op::MUL, 300, 300, w(90000 & 0xFFFF)},
-        BinCase{isa::Op::MUL, w(-3), 5, w(-15)},
-        BinCase{isa::Op::DIV, 17, 5, 3},
+        BinCase{isa::Op::MUL, w(-3), 5, w(-15), 0xFF},
+        BinCase{isa::Op::DIV, 17, 5, 3, 0xFF},
         BinCase{isa::Op::DIV, w(-17), 5, w(-3)}, // truncates
         BinCase{isa::Op::MOD, 17, 5, 2},
         BinCase{isa::Op::MOD, w(-17), 5, w(-2)},
         BinCase{isa::Op::AND, 0xF0F0, 0xFF00, 0xF000},
         BinCase{isa::Op::IOR, 0xF0F0, 0x0F00, 0xFFF0},
         BinCase{isa::Op::XOR, 0xFFFF, 0x0F0F, 0xF0F0},
-        BinCase{isa::Op::SHL, 1, 4, 16},
-        BinCase{isa::Op::SHL, 1, 16, 0},  // full shift-out
+        BinCase{isa::Op::SHL, 1, 4, 16, 0xDA},
+        BinCase{isa::Op::SHL, 1, 16, 0, 0xDA},  // full shift-out
         BinCase{isa::Op::SHR, 0x8000, 15, 1},
         BinCase{isa::Op::SHR, 0x8000, 16, 0}));
 
 INSTANTIATE_TEST_SUITE_P(
     Comparisons, BinaryOps,
     testing::Values(
-        BinCase{isa::Op::LT, 3, 4, 1}, BinCase{isa::Op::LT, 4, 3, 0},
+        BinCase{isa::Op::LT, 3, 4, 1, 0xD7}, BinCase{isa::Op::LT, 4, 3, 0, 0x0D},
         BinCase{isa::Op::LT, w(-1), 0, 1}, // signed compare
-        BinCase{isa::Op::LE, 4, 4, 1}, BinCase{isa::Op::LE, 5, 4, 0},
-        BinCase{isa::Op::EQ, 7, 7, 1}, BinCase{isa::Op::EQ, 7, 8, 0},
-        BinCase{isa::Op::NE, 7, 8, 1}, BinCase{isa::Op::NE, 7, 7, 0},
-        BinCase{isa::Op::GE, 4, 4, 1}, BinCase{isa::Op::GE, 3, 4, 0},
-        BinCase{isa::Op::GT, 5, 4, 1},
-        BinCase{isa::Op::GT, 0, w(-1), 1}));
+        BinCase{isa::Op::LE, 4, 4, 1, 0x0D}, BinCase{isa::Op::LE, 5, 4, 0},
+        BinCase{isa::Op::EQ, 7, 7, 1, 0xFF}, BinCase{isa::Op::EQ, 7, 8, 0},
+        BinCase{isa::Op::NE, 7, 8, 1, 0x0C}, BinCase{isa::Op::NE, 7, 7, 0},
+        BinCase{isa::Op::GE, 4, 4, 1, 0x0E}, BinCase{isa::Op::GE, 3, 4, 0, 0xD3},
+        BinCase{isa::Op::GT, 5, 4, 1, 0x4F},
+        BinCase{isa::Op::GT, 0, w(-1), 1, 0xD5}));
 
 TEST(UnaryOps, NegNotBang)
 {

@@ -4,9 +4,8 @@
  * and the BoundarySampler machinery it rides:
  *
  *  - the slop contract — every sample lands at or after its nominal
- *    interval boundary, within one instruction (eager), one burst
- *    (burst loop) or one superblock (threaded) of it, on all four
- *    engines;
+ *    interval boundary, within one instruction (eager) or one
+ *    superblock (threaded) of it, on all four engines;
  *  - the validation harness the tentpole promises: sampled cycle
  *    shares on a deterministic call-heavy workload agree with the
  *    exact eager profiler's exclusive shares within tolerance;
@@ -66,18 +65,12 @@ enum class Mode
 {
     Off,
     On,
-    Threaded,
 };
 
 const char *
 modeName(Mode mode)
 {
-    switch (mode) {
-      case Mode::Off: return "off";
-      case Mode::On: return "on";
-      case Mode::Threaded: return "threaded";
-      default: return "?";
-    }
+    return mode == Mode::Off ? "off" : "on";
 }
 
 struct Rig
@@ -106,7 +99,6 @@ configFor(Impl impl, Mode mode)
     MachineConfig config;
     config.impl = impl;
     config.accel.enabled = mode != Mode::Off;
-    config.accel.threaded = mode == Mode::Threaded;
     return config;
 }
 
@@ -120,16 +112,15 @@ runMain(Rig &rig, Word arg)
     return rig.machine->popValue();
 }
 
-/** Records the (cycles, steps) coordinates of every boundary fire. */
+/** Records the cycle count of every boundary fire. */
 struct RecordingBsampler : BoundarySampler
 {
-    std::vector<std::pair<Tick, std::uint64_t>> fires;
+    std::vector<Tick> fires;
 
     void
     onBoundarySample(const Machine &machine) override
     {
-        fires.emplace_back(machine.stats().cycles,
-                           machine.stats().steps);
+        fires.push_back(machine.stats().cycles);
     }
 };
 
@@ -147,16 +138,12 @@ namespace
  *  references stays well under this). */
 constexpr Tick kPerStepCycleCap = 64;
 
-/** Steps per boundary unit for each host backend. */
+/** Steps per boundary unit for each host backend: an instruction
+ *  boundary, or one superblock (maxBlockInsts). */
 std::uint64_t
 unitSteps(Mode mode)
 {
-    switch (mode) {
-      case Mode::Off: return 1;        // instruction boundary
-      case Mode::On: return 4096;      // one burst
-      case Mode::Threaded: return 64;  // one superblock (maxBlockInsts)
-      default: return 1;
-    }
+    return mode == Mode::Off ? 1 : 64;
 }
 
 } // namespace
@@ -176,7 +163,7 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
     };
 
     for (const auto &combo : combos) {
-        for (Mode mode : {Mode::Off, Mode::On, Mode::Threaded}) {
+        for (Mode mode : {Mode::Off, Mode::On}) {
             const std::string tag = std::string(implName(combo.impl)) +
                                     "/" + modeName(mode);
             LinkPlan plan;
@@ -186,14 +173,9 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
             rig.machine->setBoundarySampler(&rec, interval);
             runMain(rig, 300);
 
-            // The burst backend fires at most once per 4096-step
-            // burst, so a short run yields only a handful of samples.
-            ASSERT_GT(rec.fires.size(), mode == Mode::On ? 3u : 10u)
-                << tag;
+            ASSERT_GT(rec.fires.size(), 10u) << tag;
             const Tick slopBound = static_cast<Tick>(unitSteps(mode)) *
                                    kPerStepCycleCap;
-            const std::uint64_t finalSteps =
-                rig.machine->stats().steps;
 
             // Replicate the machine's catch-up bookkeeping: each fire
             // must land at or after its nominal boundary, within the
@@ -201,7 +183,7 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
             // the observed cycle count.
             Tick nextAt = interval;
             Tick prevCycles = 0;
-            for (const auto &[cycles, steps] : rec.fires) {
+            for (const Tick cycles : rec.fires) {
                 EXPECT_GE(cycles, nextAt) << tag;
                 EXPECT_LE(cycles - nextAt, slopBound) << tag;
                 EXPECT_GT(cycles, prevCycles) << tag;
@@ -209,14 +191,6 @@ TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
                 do
                     nextAt += interval;
                 while (nextAt <= cycles);
-                if (mode == Mode::On) {
-                    // Burst boundaries are structural: a fire can only
-                    // happen at a burst flush (a 4096-step multiple)
-                    // or at the run's final, possibly partial, burst.
-                    EXPECT_TRUE(steps % 4096 == 0 ||
-                                steps == finalSteps)
-                        << tag << " steps=" << steps;
-                }
             }
         }
     }
@@ -240,7 +214,7 @@ TEST(SampledProfiler, AgreesWithExactProfilerOnThreaded)
         exact.finish(exactRig.machine->stats().cycles);
     ASSERT_GT(exactData.total, 0);
 
-    for (Mode mode : {Mode::Threaded, Mode::Off}) {
+    for (Mode mode : {Mode::On, Mode::Off}) {
         Rig rig(kPrimes, configFor(Impl::Banked, mode));
         obs::SampledProfiler sampler(rig.image);
         rig.machine->setBoundarySampler(&sampler, interval);
@@ -284,7 +258,7 @@ TEST(BoundarySampling, DoesNotPerturbSimulatedStats)
         return os.str();
     };
 
-    for (Mode mode : {Mode::Off, Mode::On, Mode::Threaded}) {
+    for (Mode mode : {Mode::Off, Mode::On}) {
         Rig bare(kPrimes, configFor(Impl::Banked, mode));
         const Word bareValue = runMain(bare, 200);
         const std::string bareJson = statsJson(bare);
@@ -332,7 +306,7 @@ TEST(SampledProfile, MergeShareAndFolded)
 
 TEST(SampledProfiler, RingDropsOldestBeyondCapacity)
 {
-    Rig rig(kPrimes, configFor(Impl::Banked, Mode::Threaded));
+    Rig rig(kPrimes, configFor(Impl::Banked, Mode::On));
     obs::SampledProfiler sampler(rig.image, /*capacity=*/8);
     rig.machine->setBoundarySampler(&sampler, 500);
     runMain(rig, 300);
@@ -381,7 +355,7 @@ TEST(BoundaryFanout, FinestIntervalDrivesCoarserTargets)
     EXPECT_FALSE(fan.empty());
     EXPECT_EQ(fan.machineInterval(), 500);
 
-    Rig rig(kPrimes, configFor(Impl::Banked, Mode::Threaded));
+    Rig rig(kPrimes, configFor(Impl::Banked, Mode::On));
     rig.machine->setBoundarySampler(&fan, fan.machineInterval());
     runMain(rig, 300);
 

@@ -252,7 +252,7 @@ TEST(Verify, ThreadedTimesliceRecordingVerifiesEager)
     // A recording taken on the threaded backend under a timeslice —
     // superblocks between the deadlines, exact steps at every digest
     // and switch — verifies on the eager loop.
-    if (!Machine::threadedSupported())
+    if (!threadedDispatchSupported())
         GTEST_SKIP() << "threaded backend not compiled in";
     for (const Combo &combo : allCombos()) {
         AccelStats host;
@@ -275,7 +275,7 @@ TEST(Verify, EagerTimesliceRecordingVerifiesThreaded)
 {
     // The reverse: an eager recording replays bit-for-bit on the
     // threaded backend, decisions and digests alike.
-    if (!Machine::threadedSupported())
+    if (!threadedDispatchSupported())
         GTEST_SKIP() << "threaded backend not compiled in";
     for (const Combo &combo : allCombos()) {
         const replay::RecordLog log =
@@ -284,10 +284,9 @@ TEST(Verify, EagerTimesliceRecordingVerifiesThreaded)
         ASSERT_FALSE(log.jobs.front().decisions.empty())
             << implName(combo.impl);
         replay::Replayer replayer(parse(serialize(log)));
-        replay::VerifyOptions forceThreaded;
-        forceThreaded.accelOverride = true;
-        forceThreaded.threaded = true;
-        const replay::VerifyResult r = replayer.verify(forceThreaded);
+        replay::VerifyOptions forceOn;
+        forceOn.accelOverride = true;
+        const replay::VerifyResult r = replayer.verify(forceOn);
         EXPECT_TRUE(r.ok) << implName(combo.impl);
         EXPECT_FALSE(r.decisionOverrun) << implName(combo.impl);
     }

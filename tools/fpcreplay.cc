@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "accel_option.hh"
 #include "common/logging.hh"
 #include "lang/codegen.hh"
 #include "machine/digest.hh"
@@ -53,7 +54,6 @@ struct Options
     unsigned banks = 4;
     std::uint64_t timeslice = 0;
     bool accel = true;
-    bool threaded = Machine::threadedSupported(); ///< threaded backend
     std::optional<bool> accelOverride; ///< verify: force accel on/off
     Tick interval = 10000;
     std::string entryModule;
@@ -92,8 +92,8 @@ printUsage(std::ostream &os, const char *argv0)
           "  --engine=I1|I2|I3|I4            the engine to compare "
           "against\n"
           "common options:\n"
-          "  --accel=threaded|on|off         host backend (default "
-          "threaded); digests\n"
+          "  --accel=on|off                  host backend (default "
+          "on); digests\n"
           "                                  must match on every "
           "backend\n"
           "  --log-level=error|warn|info|debug  stderr verbosity "
@@ -154,25 +154,10 @@ parseArgs(int argc, char **argv)
             opt.entryModule = v.substr(0, dot);
             opt.entryProc = v.substr(dot + 1);
         } else if (arg.rfind("--accel=", 0) == 0) {
-            const std::string v = value("--accel=");
-            if (v == "on") {
-                opt.accel = true;
-                opt.threaded = false;
-            } else if (v == "off") {
-                opt.accel = false;
-            } else if (v == "threaded") {
-                if (!Machine::threadedSupported()) {
-                    std::cerr << argv[0]
-                              << ": --accel=threaded is not supported "
-                                 "by this build (needs the computed-"
-                                 "goto extension)\n";
-                    std::exit(2);
-                }
-                opt.accel = true;
-                opt.threaded = true;
-            } else {
+            const auto on = parseAccelOption(value("--accel="));
+            if (!on)
                 usage(argv[0]);
-            }
+            opt.accel = *on;
             opt.accelOverride = opt.accel;
         } else if (arg.rfind("--postmortem-dir=", 0) == 0) {
             opt.postmortemDir = value("--postmortem-dir=");
@@ -259,7 +244,6 @@ doRecord(const Options &opt)
     config.numBanks = opt.banks;
     config.timesliceSteps = opt.timeslice;
     config.accel.enabled = opt.accel;
-    config.accel.threaded = opt.threaded;
     Machine machine(mem, image, config);
 
     replay::Recorder recorder;
@@ -307,7 +291,6 @@ doVerify(const Options &opt)
 
     replay::VerifyOptions vo;
     vo.accelOverride = opt.accelOverride;
-    vo.threaded = opt.threaded;
     vo.divergenceDir = opt.postmortemDir;
     const replay::VerifyResult result = replayer.verify(vo);
 

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "accel_option.hh"
 #include "common/logging.hh"
 #include "lang/codegen.hh"
 #include "obs/json.hh"
@@ -53,7 +54,6 @@ struct Options
     bool shortCalls = false;
     bool stats = false;
     bool accel = true;
-    bool threaded = Machine::threadedSupported();
     bool accelStats = false;
     bool synthetic = false;
     unsigned depth = 8; ///< synthetic entry argument
@@ -98,12 +98,11 @@ printUsage(std::ostream &os, const char *argv0)
           "  --depth=N                       synthetic recursion depth\n"
           "  --entry=Mod.proc                entry point\n"
           "  --stats                         dump merged statistics\n"
-          "  --accel=threaded|on|off         host backend: threaded-code "
+          "  --accel=on|off                  host backend: threaded-code "
           "superblocks\n"
-          "                                  (default), burst, or off "
-          "(simulated numbers\n"
-          "                                  are identical in every "
-          "mode)\n"
+          "                                  (default) or the eager "
+          "loop (simulated numbers\n"
+          "                                  are identical in both)\n"
           "  --accel-stats                   dump merged host cache "
           "counters\n"
           "  --trace-out=FILE                write a Chrome/Perfetto "
@@ -129,11 +128,9 @@ printUsage(std::ostream &os, const char *argv0)
           "                                  9973; prime to avoid "
           "loop aliasing)\n"
           "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (default; the\n"
-          "                                  burst backend runs it "
-          "eagerly). sampled:\n"
-          "                                  bounded-slop boundary "
-          "samples\n"
+          "sampler (default).\n"
+          "                                  sampled: bounded-slop "
+          "boundary samples\n"
           "  --stats-json=FILE               write merged statistics "
           "as JSON\n"
           "  --metrics-out=FILE              write a fpc-metrics-v1 "
@@ -231,25 +228,10 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--stats") {
             opt.stats = true;
         } else if (arg.rfind("--accel=", 0) == 0) {
-            const std::string v = value("--accel=");
-            if (v == "on") {
-                opt.accel = true;
-                opt.threaded = false;
-            } else if (v == "off") {
-                opt.accel = false;
-            } else if (v == "threaded") {
-                if (!Machine::threadedSupported()) {
-                    std::cerr << argv[0]
-                              << ": --accel=threaded is not supported "
-                                 "by this build (needs the computed-"
-                                 "goto extension)\n";
-                    std::exit(2);
-                }
-                opt.accel = true;
-                opt.threaded = true;
-            } else {
+            const auto on = parseAccelOption(value("--accel="));
+            if (!on)
                 usage(argv[0]);
-            }
+            opt.accel = *on;
         } else if (arg == "--accel-stats") {
             opt.accelStats = true;
         } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -371,7 +353,6 @@ try {
     rc.machine.numBanks = opt.banks;
     rc.machine.timesliceSteps = opt.timeslice;
     rc.machine.accel.enabled = opt.accel;
-    rc.machine.accel.threaded = opt.threaded;
     rc.plan.lowering = opt.lowering;
     rc.plan.shortCalls = opt.shortCalls;
     rc.trace = !opt.traceOut.empty();
@@ -402,27 +383,10 @@ try {
         rc.probes = &probeRegistry;
     }
 
-    // Say once, up front, when what every worker attaches will demote
-    // the accelerated backend to the eager loop, from the predicate
-    // Machine::run() gates on, rather than letting an accelerated run
-    // silently lose its speedup.
-    const bool observed =
-        rc.trace || rc.profile || !rc.postmortemDir.empty();
-    const bool sampled =
-        rc.record || (rc.metrics && !rc.metricsSampled);
-    if (Machine::accelDemoted(rc.machine.accel, observed, sampled,
-                              opt.timeslice > 0)) {
-        if (observed)
-            warn("fpcrun: --profile/--trace-out/--postmortem-dir "
-                 "observe every XFER, which forces the eager loop; "
-                 "--accel={} keeps only its XFER caches. Use "
-                 "--profile-sampled to keep the fast path",
-                 opt.threaded ? "threaded" : "on");
-        else
-            warn("fpcrun: exact metrics, --record-out and --timeslice "
-                 "force the burst loop (--accel=on) onto the eager loop; "
-                 "--accel=threaded keeps its fast path");
-    }
+    warnAccelDemoted("fpcrun", rc.machine.accel,
+                     rc.trace || rc.profile || !rc.postmortemDir.empty(),
+                     "--profile/--trace-out/--postmortem-dir",
+                     ". Use --profile-sampled to keep the fast path");
     // Batch spans: the runtime synthesizes request ⊃ queued ⊃ execute
     // trees per job (host time only — simulated numbers untouched).
     std::unique_ptr<obs::SpanCollector> spans;

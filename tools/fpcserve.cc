@@ -28,6 +28,7 @@
 
 #include <poll.h>
 
+#include "accel_option.hh"
 #include "common/logging.hh"
 #include "lang/codegen.hh"
 #include "serve/drain.hh"
@@ -68,9 +69,10 @@ printUsage(std::ostream &os, const char *argv0)
           "  --banks=N                       register banks (I4)\n"
           "  --timeslice=N                   preempt every N "
           "instructions\n"
-          "  --accel=threaded|on|off         host backend: threaded-code "
+          "  --accel=on|off                  host backend: threaded-code "
           "superblocks\n"
-          "                                  (default), burst, or off\n"
+          "                                  (default) or the eager "
+          "loop\n"
           "  --queue-capacity=N              admitted-job bound across "
           "tenants (default 256)\n"
           "  --max-inflight=N                jobs on the pool at once "
@@ -98,11 +100,9 @@ printUsage(std::ostream &os, const char *argv0)
        << obs::Telemetry::defaultInterval
        << ")\n"
           "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (default; the\n"
-          "                                  burst backend runs it "
-          "eagerly). sampled:\n"
-          "                                  bounded-slop boundary "
-          "samples\n"
+          "sampler (default).\n"
+          "                                  sampled: bounded-slop "
+          "boundary samples\n"
           "  --openmetrics-out=FILE          write the series as "
           "OpenMetrics text at drain\n"
           "  --spans-out=FILE                write request spans as "
@@ -205,25 +205,10 @@ parseArgs(int argc, char **argv)
             sc.machine.timesliceSteps =
                 std::stoull(value("--timeslice="));
         } else if (arg.rfind("--accel=", 0) == 0) {
-            const std::string v = value("--accel=");
-            if (v == "on") {
-                sc.machine.accel.enabled = true;
-                sc.machine.accel.threaded = false;
-            } else if (v == "off") {
-                sc.machine.accel.enabled = false;
-            } else if (v == "threaded") {
-                if (!Machine::threadedSupported()) {
-                    std::cerr << argv[0]
-                              << ": --accel=threaded is not supported "
-                                 "by this build (needs the computed-"
-                                 "goto extension)\n";
-                    std::exit(2);
-                }
-                sc.machine.accel.enabled = true;
-                sc.machine.accel.threaded = true;
-            } else {
+            const auto on = parseAccelOption(value("--accel="));
+            if (!on)
                 usage(argv[0]);
-            }
+            sc.machine.accel.enabled = *on;
         } else if (arg.rfind("--queue-capacity=", 0) == 0) {
             sc.queueCapacity =
                 std::stoull(value("--queue-capacity="));
@@ -318,25 +303,10 @@ parseArgs(int argc, char **argv)
     }
     sc.spans = !opt.spansOut.empty() || !opt.traceOut.empty();
     sc.trace = !opt.traceOut.empty();
-    // Say once, up front, when what every worker attaches will demote
-    // the accelerated backend to the eager loop, from the predicate
-    // Machine::run() gates on, rather than letting an accelerated
-    // server silently lose its speedup. (Spans are host-time only and
-    // do not force anything.)
-    const bool observed = sc.trace || !sc.postmortemDir.empty();
-    const bool sampled = sc.metrics && !sc.metricsSampled;
-    if (Machine::accelDemoted(sc.machine.accel, observed, sampled,
-                              sc.machine.timesliceSteps > 0)) {
-        if (observed)
-            warn("fpcserve: --trace-out/--postmortem-dir observe every "
-                 "XFER, which forces the eager loop; --accel={} keeps "
-                 "only its XFER caches",
-                 sc.machine.accel.threaded ? "threaded" : "on");
-        else
-            warn("fpcserve: exact metrics and --timeslice force the "
-                 "burst loop (--accel=on) onto the eager loop; "
-                 "--accel=threaded keeps its fast path");
-    }
+    // Spans are host-time only and do not demote anything.
+    warnAccelDemoted("fpcserve", sc.machine.accel,
+                     sc.trace || !sc.postmortemDir.empty(),
+                     "--trace-out/--postmortem-dir");
     return opt;
 }
 

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "accel_option.hh"
 #include "common/logging.hh"
 #include "isa/disasm.hh"
 #include "lang/codegen.hh"
@@ -54,7 +55,6 @@ struct Options
     bool stats = false;
     bool disasm = false;
     bool accel = true;
-    bool threaded = Machine::threadedSupported();
     bool accelStats = false;
     unsigned banks = 4;
     std::uint64_t timeslice = 0;
@@ -92,12 +92,11 @@ printUsage(std::ostream &os, const char *argv0)
           "instructions\n"
           "  --entry=Mod.proc                entry point\n"
           "  --stats                         dump machine statistics\n"
-          "  --accel=threaded|on|off         host backend: threaded-code "
+          "  --accel=on|off                  host backend: threaded-code "
           "superblocks\n"
-          "                                  (default), burst, or off "
-          "(simulated numbers\n"
-          "                                  are identical in every "
-          "mode)\n"
+          "                                  (default) or the eager "
+          "loop (simulated numbers\n"
+          "                                  are identical in both)\n"
           "  --accel-stats                   dump host cache counters\n"
           "  --disasm                        dump the loaded code\n"
           "  --trace-out=FILE                write a Chrome/Perfetto "
@@ -122,11 +121,9 @@ printUsage(std::ostream &os, const char *argv0)
           "                                  9973; prime to avoid "
           "loop aliasing)\n"
           "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (default; the\n"
-          "                                  burst backend runs it "
-          "eagerly). sampled:\n"
-          "                                  bounded-slop boundary "
-          "samples\n"
+          "sampler (default).\n"
+          "                                  sampled: bounded-slop "
+          "boundary samples\n"
           "  --stats-json=FILE               write statistics as JSON\n"
           "  --metrics-out=FILE              write a fpc-metrics-v1 "
           "time series\n"
@@ -212,25 +209,10 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--stats") {
             opt.stats = true;
         } else if (arg.rfind("--accel=", 0) == 0) {
-            const std::string v = value("--accel=");
-            if (v == "on") {
-                opt.accel = true;
-                opt.threaded = false;
-            } else if (v == "off") {
-                opt.accel = false;
-            } else if (v == "threaded") {
-                if (!Machine::threadedSupported()) {
-                    std::cerr << argv[0]
-                              << ": --accel=threaded is not supported "
-                                 "by this build (needs the computed-"
-                                 "goto extension)\n";
-                    std::exit(2);
-                }
-                opt.accel = true;
-                opt.threaded = true;
-            } else {
+            const auto on = parseAccelOption(value("--accel="));
+            if (!on)
                 usage(argv[0]);
-            }
+            opt.accel = *on;
         } else if (arg == "--accel-stats") {
             opt.accelStats = true;
         } else if (arg == "--disasm") {
@@ -450,7 +432,6 @@ try {
     config.numBanks = opt.banks;
     config.timesliceSteps = opt.timeslice;
     config.accel.enabled = opt.accel;
-    config.accel.threaded = opt.threaded;
     Machine machine(mem, image, config);
 
     // Observability: a tracer and/or profiler share the machine's one
@@ -507,27 +488,11 @@ try {
         machine.setBoundarySampler(&boundaryFan,
                                    boundaryFan.machineInterval());
 
-    // Say once, up front, when what is attached will demote the
-    // accelerated backend to the eager loop, from the predicate
-    // Machine::run() gates on, rather than letting an accelerated run
-    // silently lose its speedup.
-    const bool observed = !opt.traceOut.empty() || opt.profile ||
-                          !opt.postmortemDir.empty();
-    const bool sampled = !opt.recordOut.empty() ||
-                         (telemetryWanted && !opt.telemetrySampled);
-    if (Machine::accelDemoted(config.accel, observed, sampled,
-                              opt.timeslice > 0)) {
-        if (observed)
-            warn("fpcvm: --profile/--trace-out/--postmortem-dir observe "
-                 "every XFER, which forces the eager loop; --accel={} "
-                 "keeps only its XFER caches. Use --profile-sampled to "
-                 "keep the fast path",
-                 opt.threaded ? "threaded" : "on");
-        else
-            warn("fpcvm: exact metrics, --record-out and --timeslice "
-                 "force the burst loop (--accel=on) onto the eager loop; "
-                 "--accel=threaded keeps its fast path");
-    }
+    warnAccelDemoted("fpcvm", config.accel,
+                     !opt.traceOut.empty() || opt.profile ||
+                         !opt.postmortemDir.empty(),
+                     "--profile/--trace-out/--postmortem-dir",
+                     ". Use --profile-sampled to keep the fast path");
 
     // Dynamic probes: zero simulated cost and accel-safe (only the
     // armed procedures deoptimize), so they are deliberately absent
