@@ -25,7 +25,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <vector>
 
 #include "bench_util.hh"
 #include "obs/probes.hh"
@@ -210,13 +212,22 @@ printHostThroughput(unsigned repeat, JsonReport &json)
                  "state.\n";
 }
 
+/** Median of the values (mean of the middle pair when even). */
+double
+median(std::vector<double> xs)
+{
+    std::sort(xs.begin(), xs.end());
+    const std::size_t n = xs.size();
+    return n % 2 == 1 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2;
+}
+
 /** The three observability states the obs_overhead table compares on
  *  the threaded backend. */
 enum class ObsState
 {
     Unobserved, ///< no observer at all
-    Sampled,    ///< boundary-sampling profiler + sampled telemetry
-    Exact,      ///< exact telemetry sampler (the per-block deadline)
+    Sampled,    ///< sampled profiler + telemetry on the exact sampler
+    Exact,      ///< telemetry alone on the exact sampler
 };
 
 constexpr std::array<ObsState, 3> allObsStates = {
@@ -224,24 +235,29 @@ constexpr std::array<ObsState, 3> allObsStates = {
 
 /**
  * Observability overhead: wall time of the threaded backend with no
- * observer, with full sampled observability (profiler + telemetry via
- * the BoundaryFanout, default 9973-cycle budget), and with the exact
- * telemetry sampler — which the threaded loop serves through its
- * per-block deadline: superblocks between sample points, exact steps
- * in the block that crosses one. Same interleaved min-of-N discipline
- * as the throughput tables.
+ * observer, with full sampled observability (the sampled profiler and
+ * telemetry added to the machine's exact sampler on their default
+ * grids, 9973 and Telemetry::defaultInterval cycles, as
+ * fpcvm --profile-sampled --metrics-out attaches them), and with
+ * telemetry alone on its default grid. The threaded loop serves
+ * every sampler through its per-block deadline: superblocks between
+ * sample points, exact steps in the block that crosses one. The
+ * states run back to back within each repetition, and a retention is
+ * the median over repetitions of that repetition's ratio, so a host
+ * speed phase cannot land on one side of a ratio only; the ms columns
+ * are min-of-N.
  */
 void
 printObsOverhead(unsigned repeat, JsonReport &json)
 {
     std::cout << "\nObservability overhead on the threaded backend "
                  "(primes " << primesLimit << "), min of " << repeat
-              << " runs:\n\n";
+              << " runs, retention the median of per-run ratios:\n\n";
     stats::Table table({"impl", "unobserved ms", "sampled ms",
                         "exact ms", "sampled retention",
                         "exact retention"});
 
-    constexpr Tick sampleInterval = 9973;
+    constexpr Tick profileInterval = 9973; ///< --sample-interval default
     double min_retention = 0;
     double min_exact_retention = 0;
     bool first = true;
@@ -256,9 +272,11 @@ printObsOverhead(unsigned repeat, JsonReport &json)
         constexpr unsigned innerReps = 5;
         using clock = std::chrono::steady_clock;
         std::array<double, 3> secs{};
+        std::array<std::vector<double>, 2> ratios;
         if (repeat == 0)
             repeat = 1;
         for (unsigned r = 0; r < repeat; ++r) {
+            std::array<double, 3> t{};
             for (std::size_t i = 0; i < allObsStates.size(); ++i) {
                 // Every state runs the threaded backend; the exact
                 // sampler's cost is the deadline's eager steps around
@@ -268,23 +286,15 @@ printObsOverhead(unsigned repeat, JsonReport &json)
                 Rig rig(primesProgram(), planFor(combo), config);
                 std::optional<obs::SampledProfiler> profiler;
                 std::optional<obs::Telemetry> telemetry;
-                obs::BoundaryFanout fan;
-                switch (allObsStates[i]) {
-                  case ObsState::Unobserved:
-                    break;
-                  case ObsState::Sampled:
+                if (allObsStates[i] != ObsState::Unobserved) {
+                    telemetry.emplace();
+                    rig.machine->addSampler(
+                        &*telemetry, obs::Telemetry::defaultInterval);
+                }
+                if (allObsStates[i] == ObsState::Sampled) {
                     profiler.emplace(rig.image);
-                    telemetry.emplace();
-                    fan.add(&*profiler, sampleInterval);
-                    fan.add(&*telemetry, sampleInterval);
-                    rig.machine->setBoundarySampler(
-                        &fan, fan.machineInterval());
-                    break;
-                  case ObsState::Exact:
-                    telemetry.emplace();
-                    rig.machine->setSampler(&*telemetry,
-                                            sampleInterval);
-                    break;
+                    rig.machine->addSampler(&*profiler,
+                                            profileInterval);
                 }
                 // Warm run: frame free lists + host caches.
                 runToResult(*rig.machine, "Primes", "main",
@@ -295,13 +305,16 @@ printObsOverhead(unsigned repeat, JsonReport &json)
                                 {primesLimit});
                 const std::chrono::duration<double> dt =
                     clock::now() - t0;
-                if (r == 0 || dt.count() < secs[i])
-                    secs[i] = dt.count();
+                t[i] = dt.count();
+                if (r == 0 || t[i] < secs[i])
+                    secs[i] = t[i];
             }
+            ratios[0].push_back(t[0] / t[1]);
+            ratios[1].push_back(t[0] / t[2]);
         }
 
-        const double sampled_retention = secs[0] / secs[1];
-        const double exact_retention = secs[0] / secs[2];
+        const double sampled_retention = median(ratios[0]);
+        const double exact_retention = median(ratios[1]);
         table.row(implName(combo.impl),
                   stats::fixed(secs[0] * 1e3, 2),
                   stats::fixed(secs[1] * 1e3, 2),
@@ -325,9 +338,13 @@ printObsOverhead(unsigned repeat, JsonReport &json)
     json.gate("min_exact_retention", 0.8);
 
     std::cout << "\nAcceptance shape: full sampled observability "
-                 "(--profile-sampled --telemetry-mode=sampled) "
-                 "retains >= 90% of unobserved threaded throughput, "
-                 "and exact telemetry >= 80%.\n";
+                 "(--profile-sampled --metrics-out: the profiler "
+                 "every "
+              << profileInterval << " cycles and telemetry every "
+              << obs::Telemetry::defaultInterval
+              << ", two grids on the one exact sampler) retains "
+                 ">= 90% of unobserved threaded throughput, and "
+                 "telemetry alone >= 80%.\n";
 }
 
 /** The probe states the probe_overhead table compares on the
@@ -383,8 +400,8 @@ probeWorkload()
  * quantize(cycles)' — only tick's superblocks deopt to the eager
  * path), and with every procedure probed (the upper bound selective
  * deopt avoids). Probes charge zero simulated cycles; this table is
- * the host-side price. Same rebuilt-rig, interleaved min-of-N
- * discipline as the obs_overhead table.
+ * the host-side price. Same rebuilt-rig, interleaved discipline as
+ * the obs_overhead table: min-of-N ms, median per-run retention.
  */
 void
 printProbeOverhead(unsigned repeat, JsonReport &json)
@@ -392,7 +409,8 @@ printProbeOverhead(unsigned repeat, JsonReport &json)
     constexpr Word workReps = 600;
     std::cout << "\nDynamic-probe overhead on the threaded backend "
                  "(kernel-heavy workload, tick() probed), min of "
-              << repeat << " runs:\n\n";
+              << repeat
+              << " runs, retention the median of per-run ratios:\n\n";
     stats::Table table({"impl", "unprobed ms", "probed ms",
                         "all-probed ms", "retention",
                         "all-probed retention"});
@@ -416,9 +434,11 @@ printProbeOverhead(unsigned repeat, JsonReport &json)
         constexpr unsigned innerReps = 5;
         using clock = std::chrono::steady_clock;
         std::array<double, 3> secs{};
+        std::array<std::vector<double>, 2> ratios;
         if (repeat == 0)
             repeat = 1;
         for (unsigned r = 0; r < repeat; ++r) {
+            std::array<double, 3> t{};
             for (std::size_t i = 0; i < allProbeStates.size(); ++i) {
                 MachineConfig config = configFor(combo);
                 config.accel.enabled = true;
@@ -450,13 +470,16 @@ printProbeOverhead(unsigned repeat, JsonReport &json)
                                 {workReps});
                 const std::chrono::duration<double> dt =
                     clock::now() - t0;
-                if (r == 0 || dt.count() < secs[i])
-                    secs[i] = dt.count();
+                t[i] = dt.count();
+                if (r == 0 || t[i] < secs[i])
+                    secs[i] = t[i];
             }
+            ratios[0].push_back(t[0] / t[1]);
+            ratios[1].push_back(t[0] / t[2]);
         }
 
-        const double retention = secs[0] / secs[1];
-        const double all_retention = secs[0] / secs[2];
+        const double retention = median(ratios[0]);
+        const double all_retention = median(ratios[1]);
         table.row(implName(combo.impl),
                   stats::fixed(secs[0] * 1e3, 2),
                   stats::fixed(secs[1] * 1e3, 2),

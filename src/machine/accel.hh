@@ -100,7 +100,7 @@ struct AccelStats
      *  and load-pair handlers): fused pairs per block × executions. */
     CountT sblockFusionHits = 0;
     /** Times the deferred block accounting folded into MachineStats
-     *  (loop exits, cache flushes, boundary samples). */
+     *  (loop exits, cache flushes, samples). */
     CountT deferredFlushes = 0;
 
     /** Dynamic probes (machine.hh ProbeSink): armed code ranges

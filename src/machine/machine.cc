@@ -417,18 +417,22 @@ Machine::setScheduler(Scheduler scheduler)
 void
 Machine::setSampler(CycleSampler *sampler, Tick interval_cycles)
 {
-    sampler_ = sampler;
-    sampleInterval_ = interval_cycles > 0 ? interval_cycles : 1;
-    nextSampleAt_ = stats_.cycles + sampleInterval_;
+    samplers_.clear();
+    addSampler(sampler, interval_cycles);
 }
 
 void
-Machine::setBoundarySampler(BoundarySampler *sampler,
-                            Tick interval_cycles)
+Machine::addSampler(CycleSampler *sampler, Tick interval_cycles)
 {
-    bsampler_ = sampler;
-    bsampleInterval_ = interval_cycles > 0 ? interval_cycles : 1;
-    bsampleNextAt_ = stats_.cycles + bsampleInterval_;
+    std::erase_if(samplers_, [sampler](const SampleTarget &t) {
+        return t.sampler == sampler;
+    });
+    const Tick interval = std::max<Tick>(interval_cycles, 1);
+    if (sampler != nullptr)
+        samplers_.push_back({sampler, interval, stats_.cycles + interval});
+    nextSampleAt_ = noSample;
+    for (const SampleTarget &t : samplers_)
+        nextSampleAt_ = std::min(nextSampleAt_, t.nextAt);
 }
 
 void
@@ -460,28 +464,6 @@ Machine::setProbeSink(ProbeSink *sink, std::vector<ProbeRange> armed)
 }
 
 void
-Machine::fireBoundarySample()
-{
-    // The accelerated loops only reach here at boundaries where their
-    // register-held deltas have been spilled; the block-granular
-    // opcode/length histograms and accel counters may still be
-    // deferred, so fold them now — samples must read a
-    // self-consistent machine.
-    if (sblocks_ && accel_)
-        sblocks_->flushDeferred(stats_, accel_->stats);
-    // Same catch-up discipline as the exact sampler: advance strictly
-    // past the current cycle count so each interval fires once.
-    do {
-        bsampleNextAt_ += bsampleInterval_;
-    } while (bsampleNextAt_ <= stats_.cycles);
-    bsampler_->onBoundarySample(*this);
-    // The anchor is only meaningful inside the callback; the threaded
-    // loop sets it just before calling here, everything else leaves
-    // it 0.
-    bsampleAnchorPc_ = 0;
-}
-
-void
 Machine::fireSample()
 {
     // The threaded loop defers its opcode/length histograms and host
@@ -489,13 +471,20 @@ Machine::fireSample()
     // machine, so fold them first.
     if (sblocks_ && accel_)
         sblocks_->flushDeferred(stats_, accel_->stats);
-    // Catch up past multi-cycle instructions so the next fire is
-    // strictly in the future; the sampler only reads state, so no
-    // simulated cost is charged here.
-    do {
-        nextSampleAt_ += sampleInterval_;
-    } while (nextSampleAt_ <= stats_.cycles);
-    sampler_->onSample(*this);
+    // Each due grid catches up past multi-cycle instructions so its
+    // next fire is strictly in the future; samplers only read state,
+    // so no simulated cost is charged here.
+    Tick next = noSample;
+    for (SampleTarget &t : samplers_) {
+        if (stats_.cycles >= t.nextAt) {
+            do {
+                t.nextAt += t.interval;
+            } while (t.nextAt <= stats_.cycles);
+            t.sampler->onSample(*this);
+        }
+        next = std::min(next, t.nextAt);
+    }
+    nextSampleAt_ = next;
 }
 
 void
@@ -561,18 +550,8 @@ Machine::stepInline()
         accel_->sync(mem_.codeEpoch());
     stepCore();
     maybePreempt();
-    if (sampler_ != nullptr && stats_.cycles >= nextSampleAt_)
-        [[unlikely]]
+    if (stats_.cycles >= nextSampleAt_) [[unlikely]]
         fireSample();
-    if (bsampler_ != nullptr && stats_.cycles >= bsampleNextAt_)
-        [[unlikely]] {
-        // Anchor to the instruction that spent the cycles: a transfer
-        // that expires the budget has already moved pc() to its
-        // destination, but the exact profiler charges its cost to the
-        // source.
-        bsampleAnchorPc_ = instStart_;
-        fireBoundarySample();
-    }
 }
 
 bool

@@ -160,42 +160,22 @@ class Machine;
 
 /**
  * Periodic sampling hook clocked on simulated cycles; attach with
- * Machine::setSampler. onSample fires at the first step boundary at
- * or past each interval multiple, reads whatever gauges it wants
- * through the const machine reference, and charges zero simulated
- * cycles — exactly the XferObserver contract, at interval rather
- * than transfer granularity. Because the clock is simulated cycles,
- * the sample points (and therefore any exported series) are
- * byte-identical across runs and across the acceleration switch.
+ * Machine::setSampler or Machine::addSampler. onSample fires at the
+ * first step boundary at or past each point of the sampler's own
+ * interval grid, reads whatever gauges it wants through the const
+ * machine reference (lastInstStart() is the instruction whose cycles
+ * crossed the point), and charges zero simulated cycles — exactly
+ * the XferObserver contract, at interval rather than transfer
+ * granularity. Because the clock is simulated cycles, the sample
+ * points (and therefore any exported series) are byte-identical
+ * across runs, across the acceleration switch, and with or without
+ * other samplers attached.
  */
 class CycleSampler
 {
   public:
     virtual ~CycleSampler() = default;
     virtual void onSample(const Machine &machine) = 0;
-};
-
-/**
- * Boundary sampling hook clocked on simulated cycles; attach with
- * Machine::setBoundarySampler. Unlike a CycleSampler, an attached
- * boundary sampler costs no exact steps on any backend: the
- * accelerated backends check the cycle budget only where their deferred
- * accounting is (or can cheaply be made) exact — the threaded loop's
- * block-exit and chain-follow sites — so onBoundarySample fires at
- * the first such boundary at or past each interval multiple. The
- * documented slop contract: the firing cycle exceeds the nominal
- * interval multiple by at most one superblock (≤ 64 instructions)
- * worth of cycles; the eager loop fires exactly like a CycleSampler
- * (≤ 1 instruction of slop). Deferred opcode/length histograms and
- * accel counters are folded before the hook runs, so the machine the
- * hook reads is self-consistent. Reads must be unaccounted; the hook
- * charges zero simulated cycles.
- */
-class BoundarySampler
-{
-  public:
-    virtual ~BoundarySampler() = default;
-    virtual void onBoundarySample(const Machine &machine) = 0;
 };
 
 /** A half-open range of code byte addresses a probe sink has armed
@@ -310,39 +290,30 @@ class Machine
     XferObserver *observer() const { return observer_; }
 
     /** Attach a periodic sampler fired every interval_cycles simulated
-     *  cycles (next fire is re-anchored at the current cycle count);
-     *  null detaches. Sample points stay byte-identical across
-     *  backends: the threaded loop enters a superblock only when the
-     *  block cannot cross the next sample point before its last
-     *  instruction, and steps eagerly otherwise. */
+     *  cycles (0 means every cycle), anchored at the current cycle
+     *  count, in place of every sampler attached before; null detaches
+     *  them all. Sample points
+     *  stay byte-identical across backends: the threaded loop enters
+     *  a superblock only when the block cannot cross the next sample
+     *  point before its last instruction, and steps eagerly
+     *  otherwise. */
     void setSampler(CycleSampler *sampler, Tick interval_cycles);
-    CycleSampler *sampler() const { return sampler_; }
 
-    /** Attach a boundary sampler fired at the first accel-boundary at
-     *  or past each interval_cycles multiple (next fire re-anchored at
-     *  the current cycle count); null detaches. Unlike setSampler this
-     *  keeps the accelerated loops running — see the BoundarySampler
-     *  slop contract. */
-    void setBoundarySampler(BoundarySampler *sampler,
-                            Tick interval_cycles);
-    BoundarySampler *boundarySampler() const { return bsampler_; }
+    /** Attach another sampler beside those already attached, on its
+     *  own grid of interval_cycles (0 means every cycle) anchored at
+     *  the current cycle count; a sampler already attached is
+     *  re-anchored on the new interval. The other samplers' grids
+     *  never move. Due samplers fire in attach
+     *  order; none may attach or detach from inside onSample. */
+    void addSampler(CycleSampler *sampler, Tick interval_cycles);
 
     /** Entry PC of the procedure the machine is currently executing,
      *  maintained as a shadow-of-shadow top-frame register: set on
      *  every call-like transfer, cleared (0) when a return or resume
      *  lands somewhere whose entry is not tracked. Cheap enough for
-     *  the accelerated loops; sampling profilers attribute through it
-     *  and fall back to pc() when it reads 0. */
+     *  the accelerated loops; the probe engine re-roots its shadow
+     *  stack through it after a non-LIFO transfer. */
     CodeByteAddr currentProcEntry() const { return curProcEntry_; }
-
-    /** Entry PC of the superblock whose execution expired the sampling
-     *  budget, valid only inside a BoundarySampler callback and only
-     *  when the threaded loop fired it (0 otherwise). Superblocks end
-     *  at XFERs, so at a threaded boundary pc()/currentProcEntry()
-     *  already point at the *destination* of the block's terminal
-     *  transfer; attributing through the anchor instead charges the
-     *  sample to the procedure that actually spent the cycles. */
-    CodeByteAddr boundaryAnchorPc() const { return bsampleAnchorPc_; }
 
     /** Attach a dynamic-probe sink; null detaches. armed lists the
      *  code ranges whose events need exact absolute stamps (probed
@@ -545,14 +516,10 @@ class Machine
     /** Replay the accounting of a memoized link walk: n Table-kind
      *  word reads (each costing memCycles) plus n code-byte fetches. */
     void chargeLinkWalk(CountT table_reads, CountT code_bytes);
-    /** Fire the boundary sampler: fold any deferred accounting so the
-     *  machine is self-consistent, deliver the sample, and advance the
-     *  budget past the current cycle count (catch-up, like the
-     *  CycleSampler). Out of line — runs at most once per interval. */
-    void fireBoundarySample();
-    /** Fire the exact sampler (the step-boundary check already held):
-     *  fold deferred superblock accounting, advance the budget past
-     *  the current cycle count, deliver the sample. */
+    /** Fire the due samplers (the step-boundary check already held):
+     *  fold deferred superblock accounting, advance each due grid past
+     *  the current cycle count and deliver its sample, then recompute
+     *  nextSampleAt_. */
     void fireSample();
     void maybePreempt();
     void execArith(isa::Op op);
@@ -626,16 +593,19 @@ class Machine
     CodeByteAddr armedMin_ = ~static_cast<CodeByteAddr>(0);
     CodeByteAddr armedMax_ = 0;
     XferObserver *observer_ = nullptr;
-    CycleSampler *sampler_ = nullptr;
-    Tick sampleInterval_ = 0;
-    Tick nextSampleAt_ = 0;
-    BoundarySampler *bsampler_ = nullptr;
-    Tick bsampleInterval_ = 0;
-    Tick bsampleNextAt_ = 0;
-    /** Block-entry anchor for threaded boundary samples (see
-     *  boundaryAnchorPc()); set by the threaded loop around
-     *  fireBoundarySample, 0 everywhere else. */
-    CodeByteAddr bsampleAnchorPc_ = 0;
+    /** One attached sampler and its own exact grid. */
+    struct SampleTarget
+    {
+        CycleSampler *sampler;
+        Tick interval;
+        Tick nextAt;
+    };
+    std::vector<SampleTarget> samplers_; ///< in attach order
+    static constexpr Tick noSample = ~static_cast<Tick>(0);
+    /** The earliest target's next point (never, when none is
+     *  attached): the one compare the per-step check and the threaded
+     *  deadline make. */
+    Tick nextSampleAt_ = noSample;
     /** Shadow-of-shadow top-frame register: entry PC of the procedure
      *  currently executing (0 when unknown, e.g. after a return). */
     CodeByteAddr curProcEntry_ = 0;

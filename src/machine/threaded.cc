@@ -649,22 +649,19 @@ Machine::threadedLoopT(std::uint64_t &steps)
     const unsigned bankWords = banks_.bankWords();
     const Addr globalEnd = layout_.globalEnd;
     const std::uint64_t maxSteps = config_.maxSteps;
-    // Boundary sampler, hoisted: the sampling-off cost is one
-    // register compare per outer-loop iteration and per chain follow
-    // — never per instruction.
-    BoundarySampler *const bsmp = bsampler_;
-    // Probe arming, hoisted the same way: the no-probe cost is one
-    // register compare per outer-loop iteration. The armed set is
-    // fixed while run() executes (setProbeSink is an outside-the-run
-    // API), so hoisting is sound.
+    // Probe arming, hoisted: the no-probe cost is one register compare
+    // per outer-loop iteration. The armed set is fixed while run()
+    // executes (setProbeSink is an outside-the-run API), so hoisting
+    // is sound.
     const bool armedChk = probes_ != nullptr && !armed_.empty();
     // The deadline's inputs, hoisted the same way (the scheduler and
-    // the sampler are attached outside run()): preemption and the
-    // exact sampler act only after a step, so a block runs fused only
-    // where neither can act before its last instruction.
+    // the samplers are attached outside run()): preemption and the
+    // samplers act only after a step, so a block runs fused only
+    // where neither can act before its last instruction. With no
+    // sampler attached nextSampleAt_ never comes due.
     const bool preemptible =
         config_.timesliceSteps != 0 && scheduler_ != nullptr;
-    CycleSampler *const smp = sampler_;
+    const bool sampling = !samplers_.empty();
     const CycleCeilings ceilings(config_);
     (void)regCyc;
     (void)bankWords;
@@ -928,25 +925,6 @@ Machine::threadedLoopT(std::uint64_t &steps)
             stopWith(StopReason::StepLimit, "step budget exhausted");
             break;
         }
-        // Boundary sampling: every path into this loop head has
-        // spilled the register-held deltas (block_done, the eager
-        // tail, the chain break below), so the sample point is exact
-        // up to the deferred histograms fireBoundarySample folds.
-        // Slop is bounded by one superblock: an expired budget breaks
-        // the chain-follow fast path at the block exit.
-        // Superblocks end at XFERs, so at this boundary pcAbs_ points
-        // at the *destination* of the block's terminal transfer;
-        // anchor the sample to the entry of the block that actually
-        // spent the budget (prev, when it reached its full exit) so
-        // attribution does not systematically shift one call deep.
-        if (bsmp != nullptr && stats_.cycles >= bsampleNextAt_)
-            [[unlikely]] {
-            // The eager-tail and early-exit paths clear prev; there
-            // instStart_ (the last executed instruction) is exact.
-            bsampleAnchorPc_ =
-                prev != nullptr ? prev->entry : instStart_;
-            fireBoundarySample();
-        }
         // Per-iteration epoch poll: the machine never pokes code while
         // running, so the epoch cannot move inside a block.
         acc->sync(mem_.codeEpoch());
@@ -1017,15 +995,14 @@ Machine::threadedLoopT(std::uint64_t &steps)
                           ? st
                           : std::min(stepEnd, st + sliceLeft_ - 1);
         if (sb->n > stepEnd - st ||
-            (smp != nullptr &&
-             stats_.cycles + sb->cycleBound >= nextSampleAt_))
+            stats_.cycles + sb->cycleBound >= nextSampleAt_)
             [[unlikely]] {
-            // Exact step()s — maybePreempt, the sampler, the boundary
-            // sampler, in that order — until the deadline has passed
-            // (the switch was taken or the sample fired) and control
-            // has reached a block boundary: a cached block's entry or
-            // the end of the block being stepped, so no superblock is
-            // built from the middle of another. The run stopping or
+            // Exact step()s — maybePreempt, then the samplers — until
+            // the deadline has passed (the switch was taken or a
+            // sample fired) and control has reached a block boundary:
+            // a cached block's entry or the end of the block being
+            // stepped, so no superblock is built from the middle of
+            // another. The run stopping or
             // spending its budget ends the steps too.
             prev = nullptr;
             const CountT switches = stats_.preemptions;
@@ -1635,15 +1612,11 @@ Machine::threadedLoopT(std::uint64_t &steps)
             // external pokes (loader, relocator, test patching), never
             // while run() executes, so a chain hit can skip the outer
             // loop's epoch polls and cache probe entirely.
-            // An expired sampling budget breaks the chain so the
-            // outer loop can fire the sample at this block boundary.
             if (stop_ == StopReason::Running &&
-                cur->chainPc == pcAbs_ &&
-                (bsmp == nullptr || stats_.cycles < bsampleNextAt_))
-                [[likely]] {
+                cur->chainPc == pcAbs_) [[likely]] {
                 Superblock *nb = cur->chain;
                 if (nb->n <= stepEnd - st &&
-                    (smp == nullptr || sampleFits(*nb))) [[likely]] {
+                    (!sampling || sampleFits(*nb))) [[likely]] {
                     ++acc->stats.sblockChainHits;
                     cur = nb;
                     base = cur->insts.data();
@@ -1709,8 +1682,7 @@ Machine::threadedLoopT(std::uint64_t &steps)
         }
         // The last step's sampler check, which the deadline kept from
         // firing any earlier.
-        if (smp != nullptr && stats_.cycles >= nextSampleAt_)
-            [[unlikely]]
+        if (stats_.cycles >= nextSampleAt_) [[unlikely]]
             fireSample();
     }
     steps = st;

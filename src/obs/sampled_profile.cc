@@ -67,20 +67,14 @@ SampledProfiler::SampledProfiler(const LoadedImage &image,
 }
 
 void
-SampledProfiler::onBoundarySample(const Machine &machine)
+SampledProfiler::onSample(const Machine &machine)
 {
-    Sample s;
-    s.cycles = machine.stats().cycles;
-    s.steps = machine.stats().steps;
-    s.pc = machine.pc();
-    s.procEntry = machine.currentProcEntry();
-    s.anchorPc = machine.boundaryAnchorPc();
     ++recorded_;
     if (ring_.size() < capacity_) {
-        ring_.push_back(s);
+        ring_.push_back(machine.lastInstStart());
         return;
     }
-    ring_[head_] = s;
+    ring_[head_] = machine.lastInstStart();
     head_ = (head_ + 1) % capacity_;
     ++dropped_;
 }
@@ -91,20 +85,8 @@ SampledProfiler::finish()
     SampledProfile out;
     out.recorded = recorded_;
     out.dropped = dropped_;
-    for (const Sample &s : ring_) {
-        // Threaded boundaries land just *after* a block's terminal
-        // XFER, so the block-entry anchor — inside the procedure that
-        // spent the cycles — beats both the shadow top-frame register
-        // and the raw PC, which already point at the transfer's
-        // destination. Off the threaded path the anchor is 0: the
-        // shadow register gives call-boundary-exact attribution, and
-        // when cold (return-stack returns do not restore it) the raw
-        // PC still resolves through the ProcMap.
-        const CodeByteAddr at =
-            s.anchorPc != 0
-                ? s.anchorPc
-                : (s.procEntry != 0 ? s.procEntry : s.pc);
-        const std::string *name = map_.find(at);
+    for (const CodeByteAddr pc : ring_) {
+        const std::string *name = map_.find(pc);
         out.samples[name != nullptr ? *name : idleProcName] += 1;
         ++out.total;
     }

@@ -30,12 +30,6 @@ Telemetry::onSample(const Machine &machine)
 }
 
 void
-Telemetry::onBoundarySample(const Machine &machine)
-{
-    sample(machine);
-}
-
-void
 Telemetry::sample(const Machine &machine)
 {
     MetricsSample s;

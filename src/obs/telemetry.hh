@@ -75,12 +75,13 @@ struct MetricsSample
 };
 
 /**
- * The sampler: attach with machine.setSampler(&telemetry, interval).
+ * The sampler: attach with machine.setSampler(&telemetry, interval),
+ * or machine.addSampler beside a recorder or sampled profiler.
  * Samples land in a drop-oldest ring; drivers additionally bracket a
  * run with explicit sample() calls so even programs shorter than one
  * interval export a start and a final point.
  */
-class Telemetry : public CycleSampler, public BoundarySampler
+class Telemetry : public CycleSampler
 {
   public:
     static constexpr std::size_t defaultCapacity = 4096;
@@ -108,13 +109,6 @@ class Telemetry : public CycleSampler, public BoundarySampler
     std::uint64_t stepBase() const { return stepBase_; }
 
     void onSample(const Machine &machine) override;
-
-    /** Sampled (accel-safe) mode: attach with
-     *  machine.setBoundarySampler(&telemetry, interval). Same
-     *  snapshot, but the stamps obey the BoundarySampler slop
-     *  contract instead of the exact-interval contract, and the accel
-     *  fast paths keep running. */
-    void onBoundarySample(const Machine &machine) override;
 
     /** Take a snapshot right now (run bracketing). */
     void sample(const Machine &machine);

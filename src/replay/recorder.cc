@@ -11,8 +11,6 @@ void
 Recorder::onSample(const Machine &machine)
 {
     sample(machine);
-    if (next_ != nullptr)
-        next_->onSample(machine);
 }
 
 void

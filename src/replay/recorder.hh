@@ -7,10 +7,10 @@
  * The recorder *is* a CycleSampler, so attaching it costs zero
  * simulated cycles and (like any sampler) fires on exactly the step
  * the eager loop would pick, on every backend; the digests it takes
- * are therefore identical with host acceleration off, on, or
- * threaded. When a Telemetry also wants the
- * machine's one sampler slot, chain it behind the recorder with
- * setNext() — both fire on the same simulated-cycle boundaries.
+ * are therefore identical with host acceleration off or on. Other
+ * samplers (telemetry, the sampled profiler) attach beside it with
+ * Machine::addSampler, each on its own grid, and leave the
+ * recording unchanged.
  *
  * Scheduler decisions enter through wrapPolicy(): it decorates any
  * Machine::Scheduler hook so every context the policy hands back is
@@ -31,9 +31,6 @@ class Recorder : public CycleSampler
 {
   public:
     Recorder() = default;
-
-    /** Chain another sampler (e.g. a Telemetry) behind this one. */
-    void setNext(CycleSampler *next) { next_ = next; }
 
     void onSample(const Machine &machine) override;
 
@@ -59,7 +56,6 @@ class Recorder : public CycleSampler
 
   private:
     JobRecord job_;
-    CycleSampler *next_ = nullptr;
 };
 
 } // namespace fpc::replay

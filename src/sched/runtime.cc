@@ -171,35 +171,21 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     if (!fanout.empty())
         machine.setObserver(&fanout);
 
-    // Record/replay capture: the replay recorder takes the machine's
-    // one sampler slot and chains a telemetry sampler behind it, so
-    // both fire on the same simulated-cycle boundaries.
+    // Periodic observers — the replay recorder, telemetry and the
+    // sampled profiler — each ride the machine's exact sampler on
+    // their own grid, so none of them moves another's sample points.
     replay::Recorder replayRec;
-    const bool sampledMetrics =
-        config_.metricsSampled && !config_.record;
     if (config_.record) {
         replayRec.beginJob(id, worker_id);
-        replayRec.setNext(telemetry);
-        machine.setSampler(&replayRec, config_.metricsInterval);
-    } else if (telemetry != nullptr && !sampledMetrics) {
-        machine.setSampler(telemetry, config_.metricsInterval);
+        machine.addSampler(&replayRec, config_.metricsInterval);
     }
-
-    // Sampled (accel-safe) observability rides the boundary-sample
-    // slot instead: the fast paths keep running and the stamps obey
-    // the bounded-slop contract. The fanout lets the sampled profiler
-    // and sampled telemetry share the one slot on distinct budgets.
+    if (telemetry != nullptr)
+        machine.addSampler(telemetry, config_.metricsInterval);
     std::optional<obs::SampledProfiler> sampledProfiler;
-    obs::BoundaryFanout boundaryFan;
     if (sampled_acc != nullptr) {
         sampledProfiler.emplace(image);
-        boundaryFan.add(&*sampledProfiler, config_.sampleInterval);
+        machine.addSampler(&*sampledProfiler, config_.sampleInterval);
     }
-    if (sampledMetrics && telemetry != nullptr)
-        boundaryFan.add(telemetry, config_.metricsInterval);
-    if (!boundaryFan.empty())
-        machine.setBoundarySampler(&boundaryFan,
-                                   boundaryFan.machineInterval());
 
     // Dynamic probes: compile the registry's current snapshot against
     // this job's image and attach as the machine's probe sink.
@@ -311,7 +297,6 @@ Runtime::executeJob(const Job &job, unsigned id, unsigned worker_id,
     // dangles between jobs.
     machine.setObserver(nullptr);
     machine.setSampler(nullptr, 0);
-    machine.setBoundarySampler(nullptr, 0);
     machine.setScheduler(nullptr);
 
     return out;
@@ -799,38 +784,34 @@ Runtime::tracers() const
 }
 
 obs::MetricsExport
-Runtime::metricsMeta() const
+Runtime::metricsMeta(bool include_accel) const
 {
     obs::MetricsExport meta;
     meta.driver = config_.driver;
     meta.impl = implName(config_.machine.impl);
     meta.interval = config_.metricsInterval;
-    // Sampled series are not byte-identical across the accel switch
-    // anyway (their purpose is observing accelerated runs), so the
-    // accel gauges flow by default; exact mode keeps the strict
-    // byte-identity contract and exports them only on request.
-    meta.includeAccel = config_.metricsSampled && !config_.record;
+    meta.includeAccel = include_accel;
     return meta;
 }
 
 void
-Runtime::writeMetricsJson(std::ostream &os) const
+Runtime::writeMetricsJson(std::ostream &os, bool include_accel) const
 {
     std::vector<const obs::Telemetry *> series;
     series.reserve(telemetry_.size());
     for (const auto &t : telemetry_)
         series.push_back(t.get());
-    obs::writeMetricsJson(os, metricsMeta(), series);
+    obs::writeMetricsJson(os, metricsMeta(include_accel), series);
 }
 
 void
-Runtime::writeOpenMetrics(std::ostream &os) const
+Runtime::writeOpenMetrics(std::ostream &os, bool include_accel) const
 {
     std::vector<const obs::Telemetry *> series;
     series.reserve(telemetry_.size());
     for (const auto &t : telemetry_)
         series.push_back(t.get());
-    obs::writeOpenMetrics(os, metricsMeta(), series);
+    obs::writeOpenMetrics(os, metricsMeta(include_accel), series);
 }
 
 } // namespace fpc::sched

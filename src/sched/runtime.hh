@@ -141,10 +141,11 @@ struct RuntimeConfig
     bool profile = false;
 
     /** Sampled (accel-safe) profiling: attribute cycle shares from
-     *  boundary samples (see obs::SampledProfiler) instead of exact
-     *  XFER observation, so the accel fast paths keep running.
-     *  Merged across all jobs; statistical, so it does not force the
-     *  static assignment. */
+     *  exact-grid cycle samples (see obs::SampledProfiler) instead of
+     *  XFER observation, so the accel fast paths keep running. The
+     *  profiler attaches beside telemetry and recording on its own
+     *  grid and changes neither. Merged across all jobs; it does not
+     *  force the static assignment. */
     bool profileSampled = false;
     /** Simulated-cycle budget between profile samples. Prime by
      *  default so tight loops don't alias the sampling clock. */
@@ -158,13 +159,6 @@ struct RuntimeConfig
     bool metrics = false;
     Tick metricsInterval = obs::Telemetry::defaultInterval;
     std::size_t metricsCapacity = obs::Telemetry::defaultCapacity;
-
-    /** Clock the telemetry off boundary samples instead of the exact
-     *  cycle sampler: sample stamps obey the bounded-slop contract
-     *  (machine/machine.hh) and accelerated runs keep their fast
-     *  paths. Ignored — exact forced — when record is set: replay
-     *  needs the exact sampler chain. */
-    bool metricsSampled = false;
 
     /** When nonempty, every failed job writes a postmortem bundle
      *  ("job-<id>-postmortem.json" + disassembly) into this
@@ -300,11 +294,15 @@ class Runtime
     std::vector<const obs::Tracer *> tracers() const;
 
     /** Write the fpc-metrics-v1 document — one series per worker
-     *  (valid after run() when RuntimeConfig::metrics was set). */
-    void writeMetricsJson(std::ostream &os) const;
+     *  (valid after run() when RuntimeConfig::metrics was set). The
+     *  host-acceleration gauges are exported only with include_accel,
+     *  as fpc-stats-v1 exports host counters only on request. */
+    void writeMetricsJson(std::ostream &os,
+                          bool include_accel = false) const;
 
     /** Same series in OpenMetrics text exposition format. */
-    void writeOpenMetrics(std::ostream &os) const;
+    void writeOpenMetrics(std::ostream &os,
+                          bool include_accel = false) const;
 
     /** Per-job recorded histories, indexed by job id (valid after
      *  run() when RuntimeConfig::record was set). */
@@ -387,7 +385,7 @@ class Runtime
                !config_.postmortemDir.empty() ||
                (config_.probes != nullptr && config_.probes->active());
     }
-    obs::MetricsExport metricsMeta() const;
+    obs::MetricsExport metricsMeta(bool include_accel) const;
 
     RuntimeConfig config_;
     std::vector<Job> jobs_;

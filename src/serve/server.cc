@@ -98,7 +98,6 @@ Server::start()
     rc.metrics = config_.metrics;
     rc.metricsInterval = config_.metricsInterval;
     rc.metricsCapacity = config_.metricsCapacity;
-    rc.metricsSampled = config_.metricsSampled;
     rc.postmortemDir = config_.postmortemDir;
     rc.driver = config_.driver;
     rc.spans = spans_.get();

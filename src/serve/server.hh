@@ -78,10 +78,6 @@ struct ServerConfig
     bool metrics = false;
     Tick metricsInterval = obs::Telemetry::defaultInterval;
     std::size_t metricsCapacity = obs::Telemetry::defaultCapacity;
-    /** Clock the telemetry off boundary samples (bounded-slop
-     *  stamps) so accelerated workers keep their fast paths; see
-     *  sched::RuntimeConfig::metricsSampled. */
-    bool metricsSampled = false;
 
     /** Request-scoped span tracing (see obs::SpanCollector): every
      *  SUBMIT grows a request ⊃ admission/queued/dispatch/execute/

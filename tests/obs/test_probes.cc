@@ -14,7 +14,7 @@
  *  - the ProbeRegistry: idempotent attach, detach, folding engines
  *    compiled against stale snapshots, deterministic fpc-probes-v1
  *    output;
- *  - the BoundaryFanout detach path (satellite);
+ *  - replacing or detaching one of several samplers;
  *  - SampledProfile::merge edge cases (satellite).
  */
 
@@ -514,51 +514,115 @@ TEST(ProbeRegistry, GaugesMirrorHitsAndDistributions)
 }
 
 // ---------------------------------------------------------------------
-// BoundaryFanout detach (satellite)
+// Replacing or detaching one of several samplers
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-struct CountingBsampler : BoundarySampler
+struct CountingSampler : CycleSampler
 {
-    std::size_t fires = 0;
+    std::vector<Tick> at;
     void
-    onBoundarySample(const Machine &) override
+    onSample(const Machine &machine) override
     {
-        ++fires;
+        at.push_back(machine.stats().cycles);
     }
 };
+
+/** Step 8000 instructions into main(300), let `change` re-attach or
+ *  detach samplers there, then run to completion. Returns the cycle
+ *  count at the change. */
+template <typename Change>
+Tick
+runWithChange(Rig &rig, Change change)
+{
+    const std::vector<Word> args = {300};
+    rig.machine->start("Main", "main", args);
+    for (int i = 0; i < 8000 && !rig.machine->stopped(); ++i)
+        rig.machine->step();
+    const Tick at = rig.machine->stats().cycles;
+    change();
+    const RunResult result = rig.machine->run();
+    EXPECT_EQ(result.reason, StopReason::TopReturn) << result.message;
+    return at;
+}
 
 } // namespace
 
 TEST(BoundaryFanout, RemoveDetachesOneTargetAndKeepsTheRest)
 {
-    obs::BoundaryFanout fan;
-    CountingBsampler fine;
-    CountingBsampler coarse;
-    fan.add(&fine, 500);
-    fan.add(&coarse, 5000);
-    ASSERT_EQ(fan.size(), 2u);
+    for (Mode mode : {Mode::Off, Mode::On}) {
+        // The fine sampler's grid alone, for reference.
+        CountingSampler alone;
+        {
+            Rig rig(kPrimes, configFor(Impl::Banked, mode));
+            rig.machine->setSampler(&alone, 500);
+            runWithChange(rig, [] {});
+        }
+        ASSERT_GT(alone.at.size(), 20u) << modeName(mode);
 
-    fan.remove(&coarse);
-    EXPECT_EQ(fan.size(), 1u);
-    EXPECT_FALSE(fan.empty());
-    EXPECT_EQ(fan.machineInterval(), 500);
+        // Detaching the coarse sampler mid-run by rebuilding the set
+        // (setSampler on the fine one, then nothing added) gives the
+        // fine sampler exactly the grid it has alone with the same
+        // re-attach, and the coarse one never fires again.
+        CountingSampler reattached;
+        {
+            Rig rig(kPrimes, configFor(Impl::Banked, mode));
+            rig.machine->setSampler(&reattached, 500);
+            runWithChange(rig, [&] {
+                rig.machine->setSampler(&reattached, 500);
+            });
+        }
+        CountingSampler fine;
+        CountingSampler coarse;
+        Rig detached(kPrimes, configFor(Impl::Banked, mode));
+        detached.machine->addSampler(&fine, 500);
+        detached.machine->addSampler(&coarse, 5003);
+        const Tick cut = runWithChange(detached, [&] {
+            detached.machine->setSampler(&fine, 500);
+        });
+        EXPECT_EQ(fine.at, reattached.at) << modeName(mode);
+        ASSERT_FALSE(coarse.at.empty()) << modeName(mode);
+        EXPECT_LE(coarse.at.back(), cut) << modeName(mode);
 
-    // Removing an unknown target is a no-op.
-    fan.remove(&coarse);
-    EXPECT_EQ(fan.size(), 1u);
+        // Replacing it re-anchors only the replaced sampler, on its
+        // new interval at the cycle count of the change.
+        CountingSampler fine2;
+        CountingSampler coarse2;
+        Rig replaced(kPrimes, configFor(Impl::Banked, mode));
+        replaced.machine->addSampler(&fine2, 500);
+        replaced.machine->addSampler(&coarse2, 5003);
+        std::size_t before = 0;
+        const Tick anchor = runWithChange(replaced, [&] {
+            before = coarse2.at.size();
+            replaced.machine->addSampler(&coarse2, 2999);
+        });
+        EXPECT_EQ(fine2.at, alone.at) << modeName(mode);
+        ASSERT_GT(coarse2.at.size(), before + 2) << modeName(mode);
+        Tick nextAt = anchor + 2999;
+        for (std::size_t i = before; i < coarse2.at.size(); ++i) {
+            EXPECT_GE(coarse2.at[i], nextAt) << modeName(mode);
+            do
+                nextAt += 2999;
+            while (nextAt <= coarse2.at[i]);
+        }
 
-    Rig rig(kPrimes, configFor(Impl::Banked, Mode::On));
-    rig.machine->setBoundarySampler(&fan, fan.machineInterval());
-    runMain(rig, 300);
-    EXPECT_GT(fine.fires, 20u);
-    EXPECT_EQ(coarse.fires, 0u); // detached targets never fire
+        // setSampler replaces every sampler at once; null detaches all.
+        replaced.machine->setSampler(nullptr, 0);
+        const std::size_t fineFires = fine2.at.size();
+        runMain(replaced, 300);
+        EXPECT_EQ(fine2.at.size(), fineFires) << modeName(mode);
 
-    fan.remove(&fine);
-    EXPECT_TRUE(fan.empty());
-    EXPECT_EQ(fan.machineInterval(), 0);
+        // An interval of 0 means every cycle for addSampler as for
+        // setSampler: one fire per step, never a detach.
+        CountingSampler every;
+        Rig each(kPrimes, configFor(Impl::Banked, mode));
+        each.machine->addSampler(&every, 0);
+        runMain(each, 30);
+        EXPECT_EQ(every.at.size(), each.machine->stats().steps)
+            << modeName(mode);
+    }
 }
 
 // ---------------------------------------------------------------------

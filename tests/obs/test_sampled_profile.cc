@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests for the boundary-sampling profiler (obs/sampled_profile.hh)
- * and the BoundarySampler machinery it rides:
+ * Tests for the sampled profiler (obs/sampled_profile.hh) and the
+ * machine's exact sampler multiplex it rides:
  *
- *  - the slop contract — every sample lands at or after its nominal
- *    interval boundary, within one instruction (eager) or one
- *    superblock (threaded) of it, on all four engines;
- *  - the validation harness the tentpole promises: sampled cycle
- *    shares on a deterministic call-heavy workload agree with the
- *    exact eager profiler's exclusive shares within tolerance;
- *  - attaching a boundary sampler does not perturb a single simulated
- *    number (the accel invariance contract extends to observation);
- *  - the SampledProfile container and BoundaryFanout mechanics.
+ *  - zero slop — every fire lands on the first step boundary at or
+ *    past its grid point, at the same cycle and instruction with
+ *    acceleration off or on, on all four engines;
+ *  - the validation harness: sampled cycle shares on a deterministic
+ *    call-heavy workload agree with the exact eager profiler's
+ *    exclusive shares within tolerance, and the folded profile is
+ *    byte-identical across the acceleration switch;
+ *  - attaching a sampler does not perturb a single simulated number
+ *    (the accel invariance contract extends to observation);
+ *  - several samplers on one machine each keep their own grid, and
+ *    a telemetry series is unchanged by a profiler beside it;
+ *  - the SampledProfile container.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include "obs/json.hh"
 #include "obs/profile.hh"
 #include "obs/sampled_profile.hh"
+#include "obs/telemetry.hh"
 #include "program/loader.hh"
 
 using namespace fpc;
@@ -112,85 +116,118 @@ runMain(Rig &rig, Word arg)
     return rig.machine->popValue();
 }
 
-/** Records the cycle count of every boundary fire. */
-struct RecordingBsampler : BoundarySampler
+/** One fire: the cycle count and the instruction that crossed the
+ *  point. */
+struct Fire
 {
-    std::vector<Tick> fires;
+    Tick cycles;
+    CodeByteAddr inst;
+    bool operator==(const Fire &) const = default;
+};
+
+/** Records every fire. */
+struct RecordingSampler : CycleSampler
+{
+    std::vector<Fire> fires;
 
     void
-    onBoundarySample(const Machine &machine) override
+    onSample(const Machine &machine) override
     {
-        fires.push_back(machine.stats().cycles);
+        fires.push_back({machine.stats().cycles, machine.lastInstStart()});
     }
 };
 
-} // namespace
-
-// ---------------------------------------------------------------------
-// The slop contract
-// ---------------------------------------------------------------------
-
-namespace
+const struct
 {
+    Impl impl;
+    CallLowering lowering;
+} kEngines[] = {
+    {Impl::Simple, CallLowering::Fat},
+    {Impl::Mesa, CallLowering::Mesa},
+    {Impl::Ifu, CallLowering::Direct},
+    {Impl::Banked, CallLowering::Direct},
+};
 
-/** Generous upper bound on the simulated cost of one instruction in
- *  the default latency model (decode + a transfer's worth of memory
- *  references stays well under this). */
-constexpr Tick kPerStepCycleCap = 64;
-
-/** Steps per boundary unit for each host backend: an instruction
- *  boundary, or one superblock (maxBlockInsts). */
-std::uint64_t
-unitSteps(Mode mode)
+/** The cycle counts of every step boundary of an unobserved eager run
+ *  of main(arg), starting with the one before the first step. */
+std::vector<Tick>
+stepBoundaries(Impl impl, CallLowering lowering, Word arg)
 {
-    return mode == Mode::Off ? 1 : 64;
+    LinkPlan plan;
+    plan.lowering = lowering;
+    Rig rig(kPrimes, configFor(impl, Mode::Off), plan);
+    const std::vector<Word> args = {arg};
+    rig.machine->start("Main", "main", args);
+    std::vector<Tick> out = {rig.machine->stats().cycles};
+    while (!rig.machine->stopped()) {
+        rig.machine->step();
+        out.push_back(rig.machine->stats().cycles);
+    }
+    return out;
+}
+
+/** The cycles a sampler attached at cycle 0 on an interval grid must
+ *  fire at: the first step boundary at or past each grid point, one
+ *  fire per boundary (catch-up past multi-cycle steps). */
+std::vector<Tick>
+expectedFires(const std::vector<Tick> &boundaries, Tick interval)
+{
+    std::vector<Tick> out;
+    Tick nextAt = interval;
+    for (const Tick cycles : boundaries) {
+        if (cycles < nextAt)
+            continue;
+        out.push_back(cycles);
+        do
+            nextAt += interval;
+        while (nextAt <= cycles);
+    }
+    return out;
+}
+
+std::vector<Tick>
+cyclesOf(const std::vector<Fire> &fires)
+{
+    std::vector<Tick> out;
+    for (const Fire &f : fires)
+        out.push_back(f.cycles);
+    return out;
 }
 
 } // namespace
 
+// ---------------------------------------------------------------------
+// Zero slop
+// ---------------------------------------------------------------------
+
 TEST(BoundarySampling, SlopBoundedOnEveryEngineAndBackend)
 {
+    // The one sampler has no slop: with acceleration off or on, every
+    // fire is the first step boundary at or past its grid point, and
+    // both backends see the same instruction cross it.
     constexpr Tick interval = 1000;
-    const struct
-    {
-        Impl impl;
-        CallLowering lowering;
-    } combos[] = {
-        {Impl::Simple, CallLowering::Fat},
-        {Impl::Mesa, CallLowering::Mesa},
-        {Impl::Ifu, CallLowering::Direct},
-        {Impl::Banked, CallLowering::Direct},
-    };
+    constexpr Word arg = 300;
+    for (const auto &combo : kEngines) {
+        const std::vector<Tick> want = expectedFires(
+            stepBoundaries(combo.impl, combo.lowering, arg), interval);
+        ASSERT_GT(want.size(), 10u) << implName(combo.impl);
 
-    for (const auto &combo : combos) {
+        std::vector<Fire> offFires;
         for (Mode mode : {Mode::Off, Mode::On}) {
             const std::string tag = std::string(implName(combo.impl)) +
                                     "/" + modeName(mode);
             LinkPlan plan;
             plan.lowering = combo.lowering;
             Rig rig(kPrimes, configFor(combo.impl, mode), plan);
-            RecordingBsampler rec;
-            rig.machine->setBoundarySampler(&rec, interval);
-            runMain(rig, 300);
+            RecordingSampler rec;
+            rig.machine->setSampler(&rec, interval);
+            runMain(rig, arg);
 
-            ASSERT_GT(rec.fires.size(), 10u) << tag;
-            const Tick slopBound = static_cast<Tick>(unitSteps(mode)) *
-                                   kPerStepCycleCap;
-
-            // Replicate the machine's catch-up bookkeeping: each fire
-            // must land at or after its nominal boundary, within the
-            // backend's slop, and then consume every boundary up to
-            // the observed cycle count.
-            Tick nextAt = interval;
-            Tick prevCycles = 0;
-            for (const Tick cycles : rec.fires) {
-                EXPECT_GE(cycles, nextAt) << tag;
-                EXPECT_LE(cycles - nextAt, slopBound) << tag;
-                EXPECT_GT(cycles, prevCycles) << tag;
-                prevCycles = cycles;
-                do
-                    nextAt += interval;
-                while (nextAt <= cycles);
+            EXPECT_EQ(cyclesOf(rec.fires), want) << tag;
+            if (mode == Mode::Off) {
+                offFires = rec.fires;
+            } else {
+                EXPECT_EQ(rec.fires, offFires) << tag;
             }
         }
     }
@@ -214,14 +251,25 @@ TEST(SampledProfiler, AgreesWithExactProfilerOnThreaded)
         exact.finish(exactRig.machine->stats().cycles);
     ASSERT_GT(exactData.total, 0);
 
+    std::string onFolded;
     for (Mode mode : {Mode::On, Mode::Off}) {
         Rig rig(kPrimes, configFor(Impl::Banked, mode));
         obs::SampledProfiler sampler(rig.image);
-        rig.machine->setBoundarySampler(&sampler, interval);
+        rig.machine->addSampler(&sampler, interval);
         EXPECT_EQ(runMain(rig, limit), exactValue) << modeName(mode);
         const obs::SampledProfile profile = sampler.finish();
         ASSERT_GT(profile.total, 100) << modeName(mode);
         EXPECT_EQ(profile.dropped, 0u) << modeName(mode);
+
+        // Exact sample points: the folded profile is byte-identical
+        // across the acceleration switch.
+        std::ostringstream folded;
+        profile.writeFolded(folded);
+        if (mode == Mode::On) {
+            onFolded = folded.str();
+        } else {
+            EXPECT_EQ(folded.str(), onFolded);
+        }
 
         // Every procedure with a non-trivial exact share must appear
         // in the sampled profile with a share within 5 points.
@@ -265,7 +313,7 @@ TEST(BoundarySampling, DoesNotPerturbSimulatedStats)
 
         Rig observed(kPrimes, configFor(Impl::Banked, mode));
         obs::SampledProfiler sampler(observed.image);
-        observed.machine->setBoundarySampler(&sampler, 997);
+        observed.machine->addSampler(&sampler, 997);
         EXPECT_EQ(runMain(observed, 200), bareValue) << modeName(mode);
         EXPECT_GT(sampler.recorded(), 0u) << modeName(mode);
         EXPECT_EQ(statsJson(observed), bareJson) << modeName(mode);
@@ -308,7 +356,7 @@ TEST(SampledProfiler, RingDropsOldestBeyondCapacity)
 {
     Rig rig(kPrimes, configFor(Impl::Banked, Mode::On));
     obs::SampledProfiler sampler(rig.image, /*capacity=*/8);
-    rig.machine->setBoundarySampler(&sampler, 500);
+    rig.machine->setSampler(&sampler, 500);
     runMain(rig, 300);
 
     ASSERT_GT(sampler.recorded(), 8u);
@@ -324,52 +372,85 @@ TEST(SampledProfiler, RingDropsOldestBeyondCapacity)
 }
 
 // ---------------------------------------------------------------------
-// BoundaryFanout
+// Several samplers on one machine
 // ---------------------------------------------------------------------
-
-namespace
-{
-
-struct CountingBsampler : BoundarySampler
-{
-    std::vector<Tick> at;
-    void
-    onBoundarySample(const Machine &machine) override
-    {
-        at.push_back(machine.stats().cycles);
-    }
-};
-
-} // namespace
 
 TEST(BoundaryFanout, FinestIntervalDrivesCoarserTargets)
 {
-    obs::BoundaryFanout fan;
-    EXPECT_TRUE(fan.empty());
-    EXPECT_EQ(fan.machineInterval(), 0);
+    // Two samplers at coprime intervals fire at exactly the cycles
+    // each fires at alone, on every engine and both backends.
+    constexpr Tick fineEvery = 997;
+    constexpr Tick coarseEvery = 1000;
+    for (const auto &combo : kEngines) {
+        for (Mode mode : {Mode::Off, Mode::On}) {
+            const std::string tag = std::string(implName(combo.impl)) +
+                                    "/" + modeName(mode);
+            LinkPlan plan;
+            plan.lowering = combo.lowering;
+            const auto alone = [&](Tick interval) {
+                Rig rig(kPrimes, configFor(combo.impl, mode), plan);
+                RecordingSampler rec;
+                rig.machine->setSampler(&rec, interval);
+                runMain(rig, 300);
+                return rec.fires;
+            };
 
-    CountingBsampler fine;
-    CountingBsampler coarse;
-    fan.add(&fine, 500);
-    fan.add(&coarse, 5000);
-    EXPECT_FALSE(fan.empty());
-    EXPECT_EQ(fan.machineInterval(), 500);
+            Rig rig(kPrimes, configFor(combo.impl, mode), plan);
+            RecordingSampler fine;
+            RecordingSampler coarse;
+            rig.machine->addSampler(&fine, fineEvery);
+            rig.machine->addSampler(&coarse, coarseEvery);
+            runMain(rig, 300);
 
-    Rig rig(kPrimes, configFor(Impl::Banked, Mode::On));
-    rig.machine->setBoundarySampler(&fan, fan.machineInterval());
-    runMain(rig, 300);
+            ASSERT_GT(fine.fires.size(), 10u) << tag;
+            EXPECT_EQ(fine.fires, alone(fineEvery)) << tag;
+            EXPECT_EQ(coarse.fires, alone(coarseEvery)) << tag;
+        }
+    }
+}
 
-    ASSERT_GT(fine.at.size(), 20u);
-    ASSERT_GE(coarse.at.size(), 2u);
-    EXPECT_LT(coarse.at.size(), fine.at.size());
-    // Each coarse fire obeys the same catch-up contract as the
-    // machine's own budget: at or after its nominal boundary, which
-    // then advances strictly past the fire point.
-    Tick nextAt = 5000;
-    for (const Tick at : coarse.at) {
-        EXPECT_GE(at, nextAt);
-        do
-            nextAt += 5000;
-        while (nextAt <= at);
+TEST(SamplerMultiplex, TelemetryUnchangedByProfilerBeside)
+{
+    // The fpc-metrics-v1 series is byte-identical with and without a
+    // sampled profiler on another interval, on every engine and
+    // backend, and across the acceleration switch.
+    const auto metricsJson = [](const obs::Telemetry &telemetry,
+                                Impl impl) {
+        std::ostringstream os;
+        obs::MetricsExport meta;
+        meta.driver = "test_sampled";
+        meta.impl = implName(impl);
+        meta.interval = 1000;
+        obs::writeMetricsJson(os, meta, telemetry);
+        return os.str();
+    };
+    for (const auto &combo : kEngines) {
+        LinkPlan plan;
+        plan.lowering = combo.lowering;
+        std::string reference;
+        for (Mode mode : {Mode::Off, Mode::On}) {
+            for (bool withProfiler : {false, true}) {
+                const std::string tag =
+                    std::string(implName(combo.impl)) + "/" +
+                    modeName(mode) + (withProfiler ? "/profiled" : "");
+                Rig rig(kPrimes, configFor(combo.impl, mode), plan);
+                obs::Telemetry telemetry;
+                obs::SampledProfiler profiler(rig.image);
+                rig.machine->addSampler(&telemetry, 1000);
+                if (withProfiler)
+                    rig.machine->addSampler(&profiler, 491);
+                runMain(rig, 300);
+                if (withProfiler) {
+                    EXPECT_GT(profiler.recorded(), 0u) << tag;
+                }
+                const std::string json =
+                    metricsJson(telemetry, combo.impl);
+                if (reference.empty()) {
+                    reference = json;
+                } else {
+                    EXPECT_EQ(json, reference) << tag;
+                }
+            }
+        }
     }
 }

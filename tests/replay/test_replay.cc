@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +25,8 @@
 #include "lang/codegen.hh"
 #include "machine/digest.hh"
 #include "machine/machine.hh"
+#include "obs/sampled_profile.hh"
+#include "obs/telemetry.hh"
 #include "program/loader.hh"
 #include "replay/record.hh"
 #include "replay/recorder.hh"
@@ -74,12 +78,15 @@ allCombos()
  *  image hash before the Machine exists, bracket sample after
  *  start(), finish before any popValue. With accel on the recording
  *  runs on the default (threaded) backend; `host` receives its host
- *  counters. */
+ *  counters, and `observe` may attach more samplers beside the
+ *  recorder. */
 replay::RecordLog
 recordProgram(const std::string &source, const Combo &combo,
               std::vector<Word> args, std::uint64_t timeslice = 0,
               Tick interval = 1000, bool accel = true,
-              AccelStats *host = nullptr)
+              AccelStats *host = nullptr,
+              const std::function<void(Machine &, const LoadedImage &)>
+                  &observe = nullptr)
 {
     const auto modules = lang::compile(source);
 
@@ -115,6 +122,8 @@ recordProgram(const std::string &source, const Combo &combo,
     replay::Recorder recorder;
     recorder.beginJob(0, 0);
     machine.setSampler(&recorder, interval);
+    if (observe)
+        observe(machine, image);
     if (timeslice > 0) {
         machine.setScheduler(recorder.wrapPolicy(
             [](Machine &m) { return m.currentFrameContext(); }));
@@ -289,6 +298,37 @@ TEST(Verify, EagerTimesliceRecordingVerifiesThreaded)
         const replay::VerifyResult r = replayer.verify(forceOn);
         EXPECT_TRUE(r.ok) << implName(combo.impl);
         EXPECT_FALSE(r.decisionOverrun) << implName(combo.impl);
+    }
+}
+
+TEST(Verify, RecordingUnchangedByOtherSamplers)
+{
+    // Telemetry and the sampled profiler ride the machine's exact
+    // sampler on their own grids beside the recorder: the recording
+    // is byte-identical with or without them, and it verifies.
+    for (const Combo &combo : allCombos()) {
+        for (const bool accel : {false, true}) {
+            const std::string tag = std::string(implName(combo.impl)) +
+                                    (accel ? "/on" : "/off");
+            const std::string bare = serialize(
+                recordProgram(kFibSource, combo, {9}, /*timeslice=*/200,
+                              /*interval=*/300, accel));
+            obs::Telemetry telemetry;
+            std::optional<obs::SampledProfiler> profiler;
+            const replay::RecordLog log = recordProgram(
+                kFibSource, combo, {9}, /*timeslice=*/200,
+                /*interval=*/300, accel, nullptr,
+                [&](Machine &machine, const LoadedImage &image) {
+                    machine.addSampler(&telemetry, 997);
+                    profiler.emplace(image);
+                    machine.addSampler(&*profiler, 491);
+                });
+            EXPECT_GT(telemetry.recorded(), 0u) << tag;
+            EXPECT_GT(profiler->recorded(), 0u) << tag;
+            EXPECT_EQ(serialize(log), bare) << tag;
+            replay::Replayer replayer(parse(serialize(log)));
+            EXPECT_TRUE(replayer.verify({}).ok) << tag;
+        }
     }
 }
 

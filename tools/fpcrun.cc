@@ -67,8 +67,7 @@ struct Options
     unsigned profileTop = 20;
     std::string profileFolded; ///< folded-stacks path (flamegraph.pl)
     bool profileSampled = false;
-    Tick sampleInterval = 9973; ///< cycles between boundary samples
-    bool telemetrySampled = false;
+    Tick sampleInterval = 9973; ///< cycles between profile samples
     std::string statsJson;     ///< "fpc-stats-v1" document path
     std::string metricsOut;    ///< "fpc-metrics-v1" time-series path
     Tick metricsInterval = obs::Telemetry::defaultInterval;
@@ -104,7 +103,9 @@ printUsage(std::ostream &os, const char *argv0)
           "loop (simulated numbers\n"
           "                                  are identical in both)\n"
           "  --accel-stats                   dump merged host cache "
-          "counters\n"
+          "counters (and export\n"
+          "                                  them in the metrics "
+          "series)\n"
           "  --trace-out=FILE                write a Chrome/Perfetto "
           "trace, one track per worker\n"
           "  --trace-capacity=N              per-worker trace ring size "
@@ -118,19 +119,15 @@ printUsage(std::ostream &os, const char *argv0)
           "  --profile-folded=FILE           write folded stacks "
           "(flamegraph.pl)\n"
           "  --profile-sampled               sampled (accel-safe) "
-          "profile: boundary\n"
+          "profile: cycle\n"
           "                                  samples instead of exact "
           "XFER observation,\n"
           "                                  so --accel fast paths "
           "keep running\n"
-          "  --sample-interval=N             cycles between boundary "
+          "  --sample-interval=N             cycles between profile "
           "samples (default\n"
           "                                  9973; prime to avoid "
           "loop aliasing)\n"
-          "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (default).\n"
-          "                                  sampled: bounded-slop "
-          "boundary samples\n"
           "  --stats-json=FILE               write merged statistics "
           "as JSON\n"
           "  --metrics-out=FILE              write a fpc-metrics-v1 "
@@ -250,14 +247,6 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--sample-interval=", 0) == 0) {
             opt.sampleInterval =
                 std::stoull(value("--sample-interval="));
-        } else if (arg.rfind("--telemetry-mode=", 0) == 0) {
-            const std::string v = value("--telemetry-mode=");
-            if (v == "exact")
-                opt.telemetrySampled = false;
-            else if (v == "sampled")
-                opt.telemetrySampled = true;
-            else
-                usage(argv[0]);
         } else if (arg.rfind("--stats-json=", 0) == 0) {
             opt.statsJson = value("--stats-json=");
         } else if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -303,13 +292,6 @@ parseArgs(int argc, char **argv)
     // profile); with --profile-sampled it exports the sampled one.
     if (!opt.profileFolded.empty() && !opt.profileSampled)
         opt.profile = true;
-    if (opt.telemetrySampled && !opt.recordOut.empty()) {
-        std::cerr << argv[0]
-                  << ": --telemetry-mode=sampled cannot be combined "
-                     "with --record-out (replay requires the exact "
-                     "sampler chain)\n";
-        std::exit(2);
-    }
     return opt;
 }
 
@@ -364,7 +346,6 @@ try {
         !opt.metricsOut.empty() || !opt.openmetricsOut.empty();
     rc.metricsInterval = opt.metricsInterval;
     rc.metricsCapacity = opt.metricsCapacity;
-    rc.metricsSampled = opt.telemetrySampled;
     rc.postmortemDir = opt.postmortemDir;
     rc.record = !opt.recordOut.empty();
     rc.driver = "fpcrun";
@@ -556,7 +537,7 @@ try {
             error("fpcrun: cannot write {}", opt.metricsOut);
             return 1;
         }
-        runtime.writeMetricsJson(out);
+        runtime.writeMetricsJson(out, opt.accelStats);
     }
     if (!opt.openmetricsOut.empty()) {
         std::ofstream out(opt.openmetricsOut);
@@ -564,7 +545,7 @@ try {
             error("fpcrun: cannot write {}", opt.openmetricsOut);
             return 1;
         }
-        runtime.writeOpenMetrics(out);
+        runtime.writeOpenMetrics(out, opt.accelStats);
     }
     if (spans) {
         const auto faults = obs::checkSpans(*spans);

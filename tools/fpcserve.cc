@@ -99,10 +99,6 @@ printUsage(std::ostream &os, const char *argv0)
           "(default "
        << obs::Telemetry::defaultInterval
        << ")\n"
-          "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (default).\n"
-          "                                  sampled: bounded-slop "
-          "boundary samples\n"
           "  --openmetrics-out=FILE          write the series as "
           "OpenMetrics text at drain\n"
           "  --spans-out=FILE                write request spans as "
@@ -246,14 +242,6 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--metrics-interval=", 0) == 0) {
             sc.metricsInterval =
                 std::stoull(value("--metrics-interval="));
-        } else if (arg.rfind("--telemetry-mode=", 0) == 0) {
-            const std::string v = value("--telemetry-mode=");
-            if (v == "exact")
-                sc.metricsSampled = false;
-            else if (v == "sampled")
-                sc.metricsSampled = true;
-            else
-                usage(argv[0]);
         } else if (arg.rfind("--openmetrics-out=", 0) == 0) {
             opt.openmetricsOut = value("--openmetrics-out=");
         } else if (arg.rfind("--spans-out=", 0) == 0) {

@@ -66,8 +66,7 @@ struct Options
     unsigned profileTop = 20;
     std::string profileFolded; ///< folded-stacks path (flamegraph.pl)
     bool profileSampled = false;
-    Tick sampleInterval = 9973; ///< cycles between boundary samples
-    bool telemetrySampled = false;
+    Tick sampleInterval = 9973; ///< cycles between profile samples
     std::string statsJson;     ///< "fpc-stats-v1" document path
     std::string metricsOut;    ///< "fpc-metrics-v1" time-series path
     Tick metricsInterval = obs::Telemetry::defaultInterval;
@@ -97,7 +96,9 @@ printUsage(std::ostream &os, const char *argv0)
           "                                  (default) or the eager "
           "loop (simulated numbers\n"
           "                                  are identical in both)\n"
-          "  --accel-stats                   dump host cache counters\n"
+          "  --accel-stats                   dump host cache counters "
+          "(and export them\n"
+          "                                  in the metrics series)\n"
           "  --disasm                        dump the loaded code\n"
           "  --trace-out=FILE                write a Chrome/Perfetto "
           "XFER trace\n"
@@ -111,19 +112,15 @@ printUsage(std::ostream &os, const char *argv0)
           "  --profile-folded=FILE           write folded stacks "
           "(flamegraph.pl)\n"
           "  --profile-sampled               sampled (accel-safe) "
-          "profile: boundary\n"
+          "profile: cycle\n"
           "                                  samples instead of exact "
           "XFER observation,\n"
           "                                  so --accel fast paths "
           "keep running\n"
-          "  --sample-interval=N             cycles between boundary "
+          "  --sample-interval=N             cycles between profile "
           "samples (default\n"
           "                                  9973; prime to avoid "
           "loop aliasing)\n"
-          "  --telemetry-mode=exact|sampled  exact: cycle-precise "
-          "sampler (default).\n"
-          "                                  sampled: bounded-slop "
-          "boundary samples\n"
           "  --stats-json=FILE               write statistics as JSON\n"
           "  --metrics-out=FILE              write a fpc-metrics-v1 "
           "time series\n"
@@ -233,14 +230,6 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--sample-interval=", 0) == 0) {
             opt.sampleInterval =
                 std::stoull(value("--sample-interval="));
-        } else if (arg.rfind("--telemetry-mode=", 0) == 0) {
-            const std::string v = value("--telemetry-mode=");
-            if (v == "exact")
-                opt.telemetrySampled = false;
-            else if (v == "sampled")
-                opt.telemetrySampled = true;
-            else
-                usage(argv[0]);
         } else if (arg.rfind("--stats-json=", 0) == 0) {
             opt.statsJson = value("--stats-json=");
         } else if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -284,13 +273,6 @@ parseArgs(int argc, char **argv)
     // profile); with --profile-sampled it exports the sampled one.
     if (!opt.profileFolded.empty() && !opt.profileSampled)
         opt.profile = true;
-    if (opt.telemetrySampled && !opt.recordOut.empty()) {
-        std::cerr << argv[0]
-                  << ": --telemetry-mode=sampled cannot be combined "
-                     "with --record-out (replay requires the exact "
-                     "sampler chain)\n";
-        std::exit(2);
-    }
     return opt;
 }
 
@@ -460,33 +442,21 @@ try {
     const bool telemetryWanted =
         metricsWanted || !opt.postmortemDir.empty();
     obs::Telemetry telemetry(opt.metricsCapacity);
-    // The replay recorder takes the machine's one sampler slot and
-    // chains the telemetry sampler behind it, so both fire on the
-    // same simulated-cycle boundaries.
+    // The replay recorder, telemetry and the sampled profiler each
+    // ride the machine's exact sampler on their own grid, so none of
+    // them moves another's sample points.
     replay::Recorder replayRec;
     if (!opt.recordOut.empty()) {
         replayRec.beginJob(0, 0);
-        if (telemetryWanted)
-            replayRec.setNext(&telemetry);
-        machine.setSampler(&replayRec, opt.metricsInterval);
-    } else if (telemetryWanted && !opt.telemetrySampled) {
-        machine.setSampler(&telemetry, opt.metricsInterval);
+        machine.addSampler(&replayRec, opt.metricsInterval);
     }
-
-    // Sampled (accel-safe) observability rides the boundary-sample
-    // slot: the accel fast paths keep running and sample stamps obey
-    // the bounded-slop contract (machine/machine.hh).
+    if (telemetryWanted)
+        machine.addSampler(&telemetry, opt.metricsInterval);
     std::optional<obs::SampledProfiler> sampledProfiler;
-    obs::BoundaryFanout boundaryFan;
     if (opt.profileSampled) {
         sampledProfiler.emplace(image);
-        boundaryFan.add(&*sampledProfiler, opt.sampleInterval);
+        machine.addSampler(&*sampledProfiler, opt.sampleInterval);
     }
-    if (telemetryWanted && opt.telemetrySampled)
-        boundaryFan.add(&telemetry, opt.metricsInterval);
-    if (!boundaryFan.empty())
-        machine.setBoundarySampler(&boundaryFan,
-                                   boundaryFan.machineInterval());
 
     warnAccelDemoted("fpcvm", config.accel,
                      !opt.traceOut.empty() || opt.profile ||
@@ -650,10 +620,7 @@ try {
         meta.interval = opt.metricsInterval;
         // Host hit rates only on request, like --accel-stats: the
         // default series must be byte-identical with --accel=on|off.
-        // Sampled series are not byte-identical across the switch
-        // anyway (their purpose is observing accelerated runs), so
-        // there the accel gauges flow by default.
-        meta.includeAccel = opt.accelStats || opt.telemetrySampled;
+        meta.includeAccel = opt.accelStats;
         if (!opt.metricsOut.empty()) {
             std::ofstream out(opt.metricsOut);
             if (!out) {
