@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "asm/builder.hh"
 #include "machine/machine.hh"
 #include "program/loader.hh"
@@ -91,12 +94,22 @@ struct Rig
     }
 };
 
+/**
+ * CTest names each combination after the raw bytes of its parameter
+ * (`... # GetParam() = 12-byte object <...>`), so the struct has no
+ * padding: `reserved` fills the three bytes after `shortCalls`, which
+ * were uninitialized padding and changed the names from build to
+ * build.
+ */
 struct ComboParam
 {
     Impl impl;
     CallLowering lowering;
     bool shortCalls;
+    std::uint8_t reserved[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<ComboParam>,
+              "every byte of ComboParam is part of its test name");
 
 std::string
 comboName(const testing::TestParamInfo<ComboParam> &info)

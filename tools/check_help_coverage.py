@@ -1,32 +1,47 @@
 #!/usr/bin/env python3
-"""Help-coverage checker: every flag a driver parses must be listed in
+"""Help-coverage checker: every flag a driver declares must be listed in
 its --help output exactly once, and vice versa.
 
 Usage:
-    check_help_coverage.py <driver-binary> <driver-source.cc>
+    check_help_coverage.py <driver-binary> <driver-source.cc> <options.cc>
 
-The parsed set comes from the source's argument-dispatch patterns
-(`arg == "--x"` and `arg.rfind("--x=", 0)`); the documented set from
-running `<driver> --help` and collecting the option-table lines (lines
-whose first token starts with `--`). The two sets must be equal, and
-no flag may be documented twice. Exits 0 on success, 1 with the
-difference otherwise. Stdlib only.
+The declared set comes from the option table's declaration form
+(`flag("--x", ...)`, `value("--x", ...)`, `choice("--x", ...)`): the
+calls in the driver source, the calls in each shared group of
+options.cc the driver source calls (`engineOptions(` ...), and those
+the table itself makes (inside `OptionTable::` members, e.g. --help).
+The documented set comes from running `<driver> --help` and collecting
+the option lines (two spaces, then the flag; wrapped help text is
+indented further). The two sets must be equal, and no flag may be
+documented twice. Exits 0 on success, 1 with the difference otherwise.
+Stdlib only.
 """
 
 import re
 import subprocess
 import sys
 
-EQ_RE = re.compile(r'arg\s*==\s*"(--[a-z][a-z0-9-]*)"')
-RFIND_RE = re.compile(r'arg\.rfind\("(--[a-z][a-z0-9-]*)=?",\s*0\)')
-HELP_FLAG_RE = re.compile(r"^\s+(--[a-z][a-z0-9-]*)")
+DECL_RE = re.compile(r'\b(?:flag|value|choice)\(\s*"(--[a-z][a-z0-9-]*)"')
+# A function definition in the repository's style: its name opens a
+# line and the braces of its body sit in column 0.
+FUNC_RE = re.compile(r"^([A-Za-z_][\w:]*)\([^;{]*\n\{\n(.*?)^\}",
+                     re.M | re.S)
+HELP_FLAG_RE = re.compile(r"^  (--[a-z][a-z0-9-]*)")
 
 
-def parsed_flags(source_path):
-    with open(source_path, "r", encoding="utf-8") as f:
-        src = f.read()
-    flags = set(EQ_RE.findall(src))
-    flags.update(f.rstrip("=") for f in RFIND_RE.findall(src))
+def read(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return f.read()
+
+
+def declared_flags(driver_src, shared_src):
+    flags = set(DECL_RE.findall(driver_src))
+    for name, body in FUNC_RE.findall(shared_src):
+        group = DECL_RE.findall(body)
+        if name.startswith("OptionTable::"):
+            flags.update(group)
+        elif group and re.search(r"\b%s\(" % re.escape(name), driver_src):
+            flags.update(group)
     return flags
 
 
@@ -48,16 +63,16 @@ def documented_flags(binary):
 
 
 def main(argv):
-    if len(argv) != 3:
+    if len(argv) != 4:
         sys.stderr.write(__doc__)
         return 2
-    binary, source = argv[1], argv[2]
+    binary, source, shared = argv[1], argv[2], argv[3]
 
-    parsed = parsed_flags(source)
+    parsed = declared_flags(read(source), read(shared))
     if not parsed:
         sys.stderr.write(
-            "check_help_coverage: no parsed flags found in %s "
-            "(dispatch pattern changed?)\n" % source)
+            "check_help_coverage: no declared flags found in %s and %s "
+            "(declaration form changed?)\n" % (source, shared))
         return 1
     documented = documented_flags(binary)
 

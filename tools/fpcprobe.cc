@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "options.hh"
 #include "serve/client.hh"
 
 using namespace fpc;
@@ -35,70 +36,38 @@ struct Options
 {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
-    std::string command; ///< attach | detach | read
-    std::string operand; ///< attach: spec; detach: id
+    std::string command;        ///< attach | detach | read
+    std::string spec;           ///< attach
+    std::uint32_t detachId = 0; ///< detach
 };
-
-void
-printUsage(std::ostream &os, const char *argv0)
-{
-    os << "usage: " << argv0
-       << " [options] attach '<spec>'\n"
-          "       " << argv0 << " [options] detach <id>\n"
-          "       " << argv0 << " [options] read\n"
-          "  --host=ADDR   server address (default 127.0.0.1)\n"
-          "  --port=N      server port (required)\n"
-          "  --help        show this help\n"
-          "probe specs: '<site>{<predicate>,...} -> <action>', e.g.\n"
-          "  'entry:Primes.isPrime -> count'\n"
-          "  'entry:Sort.* {depth<=8} -> quantize(cycles)'\n"
-          "  'xfer:return {tenant==gold} -> sum(refs)'\n";
-}
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    printUsage(std::cerr, argv0);
-    std::exit(2);
-}
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const std::string &prefix) {
-            return arg.substr(prefix.size());
-        };
-        if (arg.rfind("--host=", 0) == 0) {
-            opt.host = value("--host=");
-        } else if (arg.rfind("--port=", 0) == 0) {
-            opt.port = static_cast<std::uint16_t>(
-                std::stoul(value("--port=")));
-        } else if (arg == "--help") {
-            printUsage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            usage(argv[0]);
-        } else {
-            positional.push_back(arg);
-        }
-    }
-    if (positional.empty() || opt.port == 0)
-        usage(argv[0]);
+    cli::OptionTable t(argv[0],
+                       {"--port=N [options] attach '<spec>'",
+                        "--port=N [options] detach <id>",
+                        "--port=N [options] read"},
+                       "probe specs: '<site>{<predicate>,...} -> <action>', "
+                       "e.g.\n"
+                       "  'entry:Primes.isPrime -> count'\n"
+                       "  'entry:Sort.* {depth<=8} -> quantize(cycles)'\n"
+                       "  'xfer:return {tenant==gold} -> sum(refs)'\n");
+    cli::addressOptions(t, opt.host, opt.port);
+    const std::vector<std::string> positional = t.parse(argc, argv);
+    if (opt.port == 0)
+        t.fail("--port is required");
+    const bool read = positional.size() == 1 && positional[0] == "read";
+    if (!read && (positional.size() != 2 || (positional[0] != "attach" &&
+                                              positional[0] != "detach")))
+        t.fail("want attach '<spec>', detach <id> or read");
     opt.command = positional[0];
-    if (opt.command == "attach" || opt.command == "detach") {
-        if (positional.size() != 2)
-            usage(argv[0]);
-        opt.operand = positional[1];
-    } else if (opt.command == "read") {
-        if (positional.size() != 1)
-            usage(argv[0]);
-    } else {
-        usage(argv[0]);
-    }
+    if (opt.command == "attach")
+        opt.spec = positional[1];
+    if (opt.command == "detach" &&
+        !cli::parseNumber(positional[1], opt.detachId))
+        t.fail("bad probe id '" + positional[1] + "'");
     return opt;
 }
 
@@ -118,7 +87,7 @@ try {
 
     if (opt.command == "attach") {
         serve::Reply reply;
-        if (!client.probeAttach(opt.operand, reply)) {
+        if (!client.probeAttach(opt.spec, reply)) {
             error("fpcprobe: connection lost during attach");
             return 1;
         }
@@ -128,14 +97,8 @@ try {
         }
         std::cout << reply.probeId << "\n";
     } else if (opt.command == "detach") {
-        std::uint32_t id = 0;
-        try {
-            id = static_cast<std::uint32_t>(std::stoul(opt.operand));
-        } catch (const std::exception &) {
-            usage(argv[0]);
-        }
         serve::Reply reply;
-        if (!client.probeDetach(id, reply)) {
+        if (!client.probeDetach(opt.detachId, reply)) {
             error("fpcprobe: connection lost during detach");
             return 1;
         }

@@ -27,11 +27,11 @@
 #include <string>
 #include <vector>
 
-#include "accel_option.hh"
 #include "common/logging.hh"
 #include "lang/codegen.hh"
 #include "obs/json.hh"
 #include "obs/probes.hh"
+#include "options.hh"
 #include "replay/record.hh"
 #include "sched/runtime.hh"
 #include "serve/drain.hh"
@@ -47,251 +47,46 @@ struct Options
 {
     std::string file;
     std::vector<Word> args;
-    unsigned workers = 4;
     unsigned jobs = 16;
-    Impl impl = Impl::Mesa;
-    CallLowering lowering = CallLowering::Mesa;
-    bool shortCalls = false;
+    sched::RuntimeConfig rc;
+    cli::Reports rep;
     bool stats = false;
-    bool accel = true;
-    bool accelStats = false;
     bool synthetic = false;
     unsigned depth = 8; ///< synthetic entry argument
-    std::uint64_t timeslice = 0;
-    unsigned banks = 4;
-    std::string entryModule;
-    std::string entryProc = "main";
-    std::string traceOut;      ///< multi-worker Chrome trace path
-    std::size_t traceCapacity = obs::Tracer::defaultCapacity;
-    bool profile = false;
-    unsigned profileTop = 20;
-    std::string profileFolded; ///< folded-stacks path (flamegraph.pl)
-    bool profileSampled = false;
-    Tick sampleInterval = 9973; ///< cycles between profile samples
-    std::string statsJson;     ///< "fpc-stats-v1" document path
-    std::string metricsOut;    ///< "fpc-metrics-v1" time-series path
-    Tick metricsInterval = obs::Telemetry::defaultInterval;
-    std::size_t metricsCapacity = obs::Telemetry::defaultCapacity;
-    std::string openmetricsOut; ///< OpenMetrics exposition path
-    std::string postmortemDir;  ///< per-failed-job bundle directory
-    std::string recordOut;      ///< "fpc-record-v1" recording path
-    std::string spansOut;       ///< "fpc-spans-v1" span log path
-    std::vector<std::string> probeSpecs; ///< --probe= (repeatable)
-    std::string probeOut;       ///< "fpc-probes-v1" document path
+    cli::EntryPoint entry;
+    std::string spansOut; ///< "fpc-spans-v1" span log path
 };
-
-void
-printUsage(std::ostream &os, const char *argv0)
-{
-    os << "usage: " << argv0
-       << " [options] <file.mm> [int args...]\n"
-          "       " << argv0 << " [options] --synthetic\n"
-          "  --workers=N                     worker threads (default 4)\n"
-          "  --jobs=M                        jobs to run (default 16)\n"
-          "  --impl=simple|mesa|ifu|banked   machine (default mesa)\n"
-          "  --linkage=fat|mesa|direct       binding (default mesa)\n"
-          "  --short-calls                   use SHORTDIRECTCALL\n"
-          "  --banks=N                       register banks (I4)\n"
-          "  --timeslice=N                   preempt every N instructions\n"
-          "  --synthetic                     generate one program per job\n"
-          "  --depth=N                       synthetic recursion depth\n"
-          "  --entry=Mod.proc                entry point\n"
-          "  --stats                         dump merged statistics\n"
-          "  --accel=on|off                  host backend: threaded-code "
-          "superblocks\n"
-          "                                  (default) or the eager "
-          "loop (simulated numbers\n"
-          "                                  are identical in both)\n"
-          "  --accel-stats                   dump merged host cache "
-          "counters (and export\n"
-          "                                  them in the metrics "
-          "series)\n"
-          "  --trace-out=FILE                write a Chrome/Perfetto "
-          "trace, one track per worker\n"
-          "  --trace-capacity=N              per-worker trace ring size "
-          "(default "
-       << obs::Tracer::defaultCapacity
-       << ")\n"
-          "  --profile                       merged per-procedure "
-          "profile\n"
-          "  --profile-top=N                 profile rows to print "
-          "(default 20)\n"
-          "  --profile-folded=FILE           write folded stacks "
-          "(flamegraph.pl)\n"
-          "  --profile-sampled               sampled (accel-safe) "
-          "profile: cycle\n"
-          "                                  samples instead of exact "
-          "XFER observation,\n"
-          "                                  so --accel fast paths "
-          "keep running\n"
-          "  --sample-interval=N             cycles between profile "
-          "samples (default\n"
-          "                                  9973; prime to avoid "
-          "loop aliasing)\n"
-          "  --stats-json=FILE               write merged statistics "
-          "as JSON\n"
-          "  --metrics-out=FILE              write a fpc-metrics-v1 "
-          "series per worker\n"
-          "  --metrics-interval=N            cycles between samples "
-          "(default "
-       << obs::Telemetry::defaultInterval
-       << ")\n"
-          "  --metrics-capacity=N            per-worker metrics ring "
-          "size (default "
-       << obs::Telemetry::defaultCapacity
-       << ")\n"
-          "  --openmetrics-out=FILE          write the series as "
-          "OpenMetrics text\n"
-          "  --postmortem-dir=DIR            write a bundle per failed "
-          "job\n"
-          "  --record-out=FILE               write an fpc-record-v1 "
-          "recording of every job\n"
-          "  --spans-out=FILE                write per-job host-time "
-          "spans as fpc-spans-v1\n"
-          "  --probe=SPEC                    attach a dynamic probe "
-          "(repeatable); e.g.\n"
-          "                                  'entry:Mod.proc"
-          "{depth<=4} -> quantize(cycles)'\n"
-          "                                  zero simulated cost; "
-          "accel backends deopt\n"
-          "                                  only the probed "
-          "procedures\n"
-          "  --probe-out=FILE                write probe aggregations "
-          "as fpc-probes-v1\n"
-          "  --log-level=error|warn|info|debug  stderr verbosity "
-          "(default info)\n"
-          "  --help                          show this help\n";
-}
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    printUsage(std::cerr, argv0);
-    std::exit(2);
-}
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const std::string &prefix) {
-            return arg.substr(prefix.size());
-        };
-        if (arg.rfind("--workers=", 0) == 0) {
-            opt.workers = std::stoul(value("--workers="));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            opt.jobs = std::stoul(value("--jobs="));
-        } else if (arg.rfind("--impl=", 0) == 0) {
-            const std::string v = value("--impl=");
-            if (v == "simple")
-                opt.impl = Impl::Simple;
-            else if (v == "mesa")
-                opt.impl = Impl::Mesa;
-            else if (v == "ifu")
-                opt.impl = Impl::Ifu;
-            else if (v == "banked")
-                opt.impl = Impl::Banked;
-            else
-                usage(argv[0]);
-        } else if (arg.rfind("--linkage=", 0) == 0) {
-            const std::string v = value("--linkage=");
-            if (v == "fat")
-                opt.lowering = CallLowering::Fat;
-            else if (v == "mesa")
-                opt.lowering = CallLowering::Mesa;
-            else if (v == "direct")
-                opt.lowering = CallLowering::Direct;
-            else
-                usage(argv[0]);
-        } else if (arg == "--short-calls") {
-            opt.shortCalls = true;
-        } else if (arg.rfind("--banks=", 0) == 0) {
-            opt.banks = std::stoul(value("--banks="));
-        } else if (arg.rfind("--timeslice=", 0) == 0) {
-            opt.timeslice = std::stoull(value("--timeslice="));
-        } else if (arg == "--synthetic") {
-            opt.synthetic = true;
-        } else if (arg.rfind("--depth=", 0) == 0) {
-            opt.depth = std::stoul(value("--depth="));
-        } else if (arg.rfind("--entry=", 0) == 0) {
-            const std::string v = value("--entry=");
-            const auto dot = v.find('.');
-            if (dot == std::string::npos)
-                usage(argv[0]);
-            opt.entryModule = v.substr(0, dot);
-            opt.entryProc = v.substr(dot + 1);
-        } else if (arg == "--stats") {
-            opt.stats = true;
-        } else if (arg.rfind("--accel=", 0) == 0) {
-            const auto on = parseAccelOption(value("--accel="));
-            if (!on)
-                usage(argv[0]);
-            opt.accel = *on;
-        } else if (arg == "--accel-stats") {
-            opt.accelStats = true;
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            opt.traceOut = value("--trace-out=");
-        } else if (arg.rfind("--trace-capacity=", 0) == 0) {
-            opt.traceCapacity = std::stoull(value("--trace-capacity="));
-        } else if (arg == "--profile") {
-            opt.profile = true;
-        } else if (arg.rfind("--profile-top=", 0) == 0) {
-            opt.profile = true;
-            opt.profileTop = std::stoul(value("--profile-top="));
-        } else if (arg.rfind("--profile-folded=", 0) == 0) {
-            opt.profileFolded = value("--profile-folded=");
-        } else if (arg == "--profile-sampled") {
-            opt.profileSampled = true;
-        } else if (arg.rfind("--sample-interval=", 0) == 0) {
-            opt.sampleInterval =
-                std::stoull(value("--sample-interval="));
-        } else if (arg.rfind("--stats-json=", 0) == 0) {
-            opt.statsJson = value("--stats-json=");
-        } else if (arg.rfind("--metrics-out=", 0) == 0) {
-            opt.metricsOut = value("--metrics-out=");
-        } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-            opt.metricsInterval =
-                std::stoull(value("--metrics-interval="));
-        } else if (arg.rfind("--metrics-capacity=", 0) == 0) {
-            opt.metricsCapacity =
-                std::stoull(value("--metrics-capacity="));
-        } else if (arg.rfind("--openmetrics-out=", 0) == 0) {
-            opt.openmetricsOut = value("--openmetrics-out=");
-        } else if (arg.rfind("--postmortem-dir=", 0) == 0) {
-            opt.postmortemDir = value("--postmortem-dir=");
-        } else if (arg.rfind("--record-out=", 0) == 0) {
-            opt.recordOut = value("--record-out=");
-        } else if (arg.rfind("--spans-out=", 0) == 0) {
-            opt.spansOut = value("--spans-out=");
-        } else if (arg.rfind("--probe=", 0) == 0) {
-            opt.probeSpecs.push_back(value("--probe="));
-        } else if (arg.rfind("--probe-out=", 0) == 0) {
-            opt.probeOut = value("--probe-out=");
-        } else if (arg.rfind("--log-level=", 0) == 0) {
-            LogLevel level;
-            if (!parseLogLevel(value("--log-level="), level))
-                usage(argv[0]);
-            setLogLevel(level);
-        } else if (arg == "--help") {
-            printUsage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            usage(argv[0]);
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            opt.args.push_back(
-                static_cast<Word>(std::stol(arg) & 0xFFFF));
-        }
-    }
-    if (opt.file.empty() && !opt.synthetic)
-        usage(argv[0]);
-    // A folded path alone keeps its historical meaning (exact
-    // profile); with --profile-sampled it exports the sampled one.
-    if (!opt.profileFolded.empty() && !opt.profileSampled)
-        opt.profile = true;
+    opt.rc.workers = 4;
+    cli::OptionTable t(argv[0], {"[options] <file.mm> [int args...]",
+                                 "[options] --synthetic"});
+    cli::workersOption(t, opt.rc.workers);
+    t.value("--jobs", "M", "jobs to run", opt.jobs);
+    cli::engineOptions(t, opt.rc.machine, opt.rc.plan);
+    t.flag("--synthetic", "generate one program per job", opt.synthetic);
+    t.value("--depth", "N", "synthetic recursion depth", opt.depth);
+    cli::entryOption(t, opt.entry);
+    t.flag("--stats", "dump merged statistics", opt.stats);
+    cli::exportOptions(t, opt.rc, opt.rep);
+    t.value("--spans-out", "FILE",
+            "write per-job host-time spans as fpc-spans-v1", opt.spansOut);
+    cli::profileOptions(t, opt.rc, opt.rep);
+    cli::jobOptions(t, opt.rc.metricsInterval, opt.rc.postmortemDir,
+                    opt.rep.probeSpecs);
+    cli::logOptions(t);
+    const std::vector<std::string> positional = t.parse(argc, argv);
+    if (positional.empty() && !opt.synthetic)
+        t.fail("missing <file.mm> or --synthetic");
+    if (opt.synthetic && opt.rc.record)
+        t.fail("--record-out needs a compiled program; --synthetic jobs "
+               "have no source to embed");
+    if (!positional.empty())
+        opt.file = positional.front();
+    opt.args = t.programArgs(positional, 1);
     return opt;
 }
 
@@ -327,36 +122,18 @@ dumpMergedStats(const sched::Runtime &runtime)
 int
 main(int argc, char **argv)
 try {
-    const Options opt = parseArgs(argc, argv);
-
-    sched::RuntimeConfig rc;
-    rc.workers = opt.workers;
-    rc.machine.impl = opt.impl;
-    rc.machine.numBanks = opt.banks;
-    rc.machine.timesliceSteps = opt.timeslice;
-    rc.machine.accel.enabled = opt.accel;
-    rc.plan.lowering = opt.lowering;
-    rc.plan.shortCalls = opt.shortCalls;
-    rc.trace = !opt.traceOut.empty();
-    rc.traceCapacity = opt.traceCapacity;
-    rc.profile = opt.profile;
-    rc.profileSampled = opt.profileSampled;
-    rc.sampleInterval = opt.sampleInterval;
-    rc.metrics =
-        !opt.metricsOut.empty() || !opt.openmetricsOut.empty();
-    rc.metricsInterval = opt.metricsInterval;
-    rc.metricsCapacity = opt.metricsCapacity;
-    rc.postmortemDir = opt.postmortemDir;
-    rc.record = !opt.recordOut.empty();
+    Options opt = parseArgs(argc, argv);
+    sched::RuntimeConfig &rc = opt.rc;
+    const cli::Reports &rep = opt.rep;
     rc.driver = "fpcrun";
 
     // Dynamic probes ride the selective-deopt path: only superblocks
     // covering a probed procedure fall back to the eager loop, so
     // probes are deliberately absent from the warning below.
     obs::ProbeRegistry probeRegistry;
-    if (!opt.probeSpecs.empty()) {
+    if (!rep.probeSpecs.empty()) {
         std::string perr;
-        if (!obs::attachProbeSpecs(probeRegistry, opt.probeSpecs,
+        if (!obs::attachProbeSpecs(probeRegistry, rep.probeSpecs,
                                    perr)) {
             error("fpcrun: {}", perr);
             return 2;
@@ -364,10 +141,11 @@ try {
         rc.probes = &probeRegistry;
     }
 
-    warnAccelDemoted("fpcrun", rc.machine.accel,
-                     rc.trace || rc.profile || !rc.postmortemDir.empty(),
-                     "--profile/--trace-out/--postmortem-dir",
-                     ". Use --profile-sampled to keep the fast path");
+    cli::warnAccelDemoted("fpcrun", rc.machine.accel,
+                          rc.trace || rc.profile ||
+                              !rc.postmortemDir.empty(),
+                          "--profile/--trace-out/--postmortem-dir",
+                          ". Use --profile-sampled to keep the fast path");
     // Batch spans: the runtime synthesizes request ⊃ queued ⊃ execute
     // trees per job (host time only — simulated numbers untouched).
     std::unique_ptr<obs::SpanCollector> spans;
@@ -375,9 +153,6 @@ try {
         spans = std::make_unique<obs::SpanCollector>();
         rc.spans = spans.get();
     }
-    if (rc.record && opt.synthetic)
-        fatal("--record-out= needs a compiled program; --synthetic "
-              "jobs have no source to embed");
     // Graceful shutdown: SIGINT/SIGTERM let running jobs finish,
     // cancel the rest, and still emit every requested export below.
     serve::DrainSignal drain;
@@ -385,7 +160,7 @@ try {
     sched::Runtime runtime(rc);
 
     std::string source;
-    std::string entry = opt.entryModule;
+    std::string entry;
     if (opt.synthetic) {
         for (unsigned j = 0; j < opt.jobs; ++j) {
             ProgramConfig pc;
@@ -409,14 +184,9 @@ try {
         auto modules = std::make_shared<const std::vector<Module>>(
             lang::compile(source));
 
-        if (entry.empty()) {
-            entry = modules->front().name;
-            for (const auto &m : *modules)
-                if (m.name == "Main")
-                    entry = "Main";
-        }
+        entry = opt.entry.moduleIn(*modules);
         for (unsigned j = 0; j < opt.jobs; ++j)
-            runtime.submit({modules, entry, opt.entryProc, opt.args});
+            runtime.submit({modules, entry, opt.entry.proc, opt.args});
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -454,69 +224,51 @@ try {
 
     if (opt.stats)
         dumpMergedStats(runtime);
-    if (opt.accelStats) {
-        const AccelStats &a = runtime.accelStats();
-        std::cout << "\n--- host acceleration (merged) ---\n";
-        if (!opt.accel) {
-            std::cout << "disabled (--accel=off)\n";
-        } else {
-            std::cout << "icache: " << a.icacheHits << " hits, "
-                      << a.icacheMisses << " misses ("
-                      << stats::percent(a.icacheHitRate()) << ")\n"
-                      << "link cache: " << a.linkHits() << " hits, "
-                      << a.linkMisses() << " misses ("
-                      << stats::percent(a.linkHitRate()) << ")\n"
-                      << "flushes: " << a.codeFlushes << " code, "
-                      << a.tableFlushes << " link\n";
-            if (a.probeSites != 0 || a.probeEagerSteps != 0)
-                std::cout << "probes: " << a.probeSites
-                          << " armed sites, " << a.probeDeoptBlocks
-                          << " deopt blocks, " << a.probeEagerSteps
-                          << " eager steps\n";
-        }
-    }
+    if (rep.accelStats)
+        cli::printAccelStats("host acceleration (merged)",
+                             rc.machine.accel.enabled, runtime.accelStats());
 
-    if (!opt.traceOut.empty()) {
-        std::ofstream out(opt.traceOut);
+    if (!rep.traceOut.empty()) {
+        std::ofstream out(rep.traceOut);
         if (!out) {
-            error("fpcrun: cannot write {}", opt.traceOut);
+            error("fpcrun: cannot write {}", rep.traceOut);
             return 1;
         }
         runtime.writeTrace(out);
     }
-    if (opt.profile) {
+    if (rc.profile) {
         const obs::ProfileData &data = runtime.profile();
-        std::cout << "\n--- merged profile (top " << opt.profileTop
+        std::cout << "\n--- merged profile (top " << rep.profileTop
                   << " by exclusive cycles) ---\n";
-        data.topTable(opt.profileTop).print(std::cout);
-        if (!opt.profileFolded.empty()) {
-            std::ofstream out(opt.profileFolded);
+        data.topTable(rep.profileTop).print(std::cout);
+        if (!rep.profileFolded.empty()) {
+            std::ofstream out(rep.profileFolded);
             if (!out) {
-                error("fpcrun: cannot write {}", opt.profileFolded);
+                error("fpcrun: cannot write {}", rep.profileFolded);
                 return 1;
             }
             data.writeFolded(out);
         }
     }
-    if (opt.profileSampled) {
+    if (rc.profileSampled) {
         const obs::SampledProfile &data = runtime.sampledProfile();
         std::cout << "\n--- merged sampled profile (top "
-                  << opt.profileTop << " by samples, interval "
-                  << opt.sampleInterval << " cycles) ---\n";
-        data.topTable(opt.profileTop).print(std::cout);
-        if (!opt.profileFolded.empty() && !opt.profile) {
-            std::ofstream out(opt.profileFolded);
+                  << rep.profileTop << " by samples, interval "
+                  << rc.sampleInterval << " cycles) ---\n";
+        data.topTable(rep.profileTop).print(std::cout);
+        if (!rep.profileFolded.empty() && !rc.profile) {
+            std::ofstream out(rep.profileFolded);
             if (!out) {
-                error("fpcrun: cannot write {}", opt.profileFolded);
+                error("fpcrun: cannot write {}", rep.profileFolded);
                 return 1;
             }
             data.writeFolded(out);
         }
     }
-    if (!opt.statsJson.empty()) {
-        std::ofstream out(opt.statsJson);
+    if (!rep.statsJson.empty()) {
+        std::ofstream out(rep.statsJson);
         if (!out) {
-            error("fpcrun: cannot write {}", opt.statsJson);
+            error("fpcrun: cannot write {}", rep.statsJson);
             return 1;
         }
         obs::StatsExport exp;
@@ -527,25 +279,25 @@ try {
         exp.groups.push_back(&runtime.stats());
         // Host counters only on request: the default document must be
         // byte-identical with acceleration on or off.
-        if (opt.accelStats)
+        if (rep.accelStats)
             exp.accel = &runtime.accelStats();
         obs::writeStatsJson(out, exp);
     }
-    if (!opt.metricsOut.empty()) {
-        std::ofstream out(opt.metricsOut);
+    if (!rep.metricsOut.empty()) {
+        std::ofstream out(rep.metricsOut);
         if (!out) {
-            error("fpcrun: cannot write {}", opt.metricsOut);
+            error("fpcrun: cannot write {}", rep.metricsOut);
             return 1;
         }
-        runtime.writeMetricsJson(out, opt.accelStats);
+        runtime.writeMetricsJson(out, rep.accelStats);
     }
-    if (!opt.openmetricsOut.empty()) {
-        std::ofstream out(opt.openmetricsOut);
+    if (!rep.openmetricsOut.empty()) {
+        std::ofstream out(rep.openmetricsOut);
         if (!out) {
-            error("fpcrun: cannot write {}", opt.openmetricsOut);
+            error("fpcrun: cannot write {}", rep.openmetricsOut);
             return 1;
         }
-        runtime.writeOpenMetrics(out, opt.accelStats);
+        runtime.writeOpenMetrics(out, rep.accelStats);
     }
     if (spans) {
         const auto faults = obs::checkSpans(*spans);
@@ -559,39 +311,39 @@ try {
         }
         obs::writeSpansLog(out, "fpcrun", *spans);
     }
-    if (!opt.probeOut.empty()) {
-        std::ofstream out(opt.probeOut);
+    if (!rep.probeOut.empty()) {
+        std::ofstream out(rep.probeOut);
         if (!out) {
-            error("fpcrun: cannot write {}", opt.probeOut);
+            error("fpcrun: cannot write {}", rep.probeOut);
             return 1;
         }
         probeRegistry.writeJson(out, "fpcrun");
     }
-    if (!opt.recordOut.empty()) {
+    if (!rep.recordOut.empty()) {
         replay::RecordLog log;
-        log.impl = opt.impl;
-        log.lowering = opt.lowering;
-        log.shortCalls = opt.shortCalls;
-        log.banks = opt.banks;
-        log.timeslice = opt.timeslice;
-        log.accel = opt.accel;
-        log.interval = opt.metricsInterval;
+        log.impl = rc.machine.impl;
+        log.lowering = rc.plan.lowering;
+        log.shortCalls = rc.plan.shortCalls;
+        log.banks = rc.machine.numBanks;
+        log.timeslice = rc.machine.timesliceSteps;
+        log.accel = rc.machine.accel.enabled;
+        log.interval = rc.metricsInterval;
         log.workers = runtime.workers();
         log.stride = runtime.stride();
         log.imageHash = runtime.recordedImageHash();
         log.entryModule = entry;
-        log.entryProc = opt.entryProc;
+        log.entryProc = opt.entry.proc;
         log.args = opt.args;
         log.source = source;
         log.jobs = runtime.jobRecords();
-        std::ofstream out(opt.recordOut);
+        std::ofstream out(rep.recordOut);
         if (!out) {
-            error("fpcrun: cannot write {}", opt.recordOut);
+            error("fpcrun: cannot write {}", rep.recordOut);
             return 1;
         }
         replay::writeRecord(out, log);
         inform("fpcrun: recorded {} job(s) to {}", log.jobs.size(),
-               opt.recordOut);
+               rep.recordOut);
     }
     return failed == 0 ? 0 : 1;
 } catch (const std::exception &err) {

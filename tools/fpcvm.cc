@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "accel_option.hh"
 #include "common/logging.hh"
 #include "isa/disasm.hh"
 #include "lang/codegen.hh"
@@ -35,6 +34,7 @@
 #include "obs/sampled_profile.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
+#include "options.hh"
 #include "program/loader.hh"
 #include "replay/record.hh"
 #include "replay/recorder.hh"
@@ -49,230 +49,32 @@ struct Options
 {
     std::string file;
     std::vector<Word> args;
-    Impl impl = Impl::Mesa;
-    CallLowering lowering = CallLowering::Mesa;
-    bool shortCalls = false;
+    sched::RuntimeConfig rc; ///< the one job's configuration
+    cli::Reports rep;
     bool stats = false;
     bool disasm = false;
-    bool accel = true;
-    bool accelStats = false;
-    unsigned banks = 4;
-    std::uint64_t timeslice = 0;
-    std::string entryModule;
-    std::string entryProc = "main";
-    std::string traceOut;      ///< Chrome trace JSON path
-    std::size_t traceCapacity = obs::Tracer::defaultCapacity;
-    bool profile = false;
-    unsigned profileTop = 20;
-    std::string profileFolded; ///< folded-stacks path (flamegraph.pl)
-    bool profileSampled = false;
-    Tick sampleInterval = 9973; ///< cycles between profile samples
-    std::string statsJson;     ///< "fpc-stats-v1" document path
-    std::string metricsOut;    ///< "fpc-metrics-v1" time-series path
-    Tick metricsInterval = obs::Telemetry::defaultInterval;
-    std::size_t metricsCapacity = obs::Telemetry::defaultCapacity;
-    std::string openmetricsOut; ///< OpenMetrics exposition path
-    std::string postmortemDir;  ///< bundle directory on error stops
-    std::string recordOut;      ///< "fpc-record-v1" recording path
-    std::vector<std::string> probeSpecs; ///< --probe= one-liners
-    std::string probeOut;       ///< "fpc-probes-v1" document path
+    cli::EntryPoint entry;
 };
-
-void
-printUsage(std::ostream &os, const char *argv0)
-{
-    os << "usage: " << argv0
-       << " [options] <file.mm> [int args...]\n"
-          "  --impl=simple|mesa|ifu|banked   machine (default mesa)\n"
-          "  --linkage=fat|mesa|direct       binding (default mesa)\n"
-          "  --short-calls                   use SHORTDIRECTCALL\n"
-          "  --banks=N                       register banks (I4)\n"
-          "  --timeslice=N                   preempt every N "
-          "instructions\n"
-          "  --entry=Mod.proc                entry point\n"
-          "  --stats                         dump machine statistics\n"
-          "  --accel=on|off                  host backend: threaded-code "
-          "superblocks\n"
-          "                                  (default) or the eager "
-          "loop (simulated numbers\n"
-          "                                  are identical in both)\n"
-          "  --accel-stats                   dump host cache counters "
-          "(and export them\n"
-          "                                  in the metrics series)\n"
-          "  --disasm                        dump the loaded code\n"
-          "  --trace-out=FILE                write a Chrome/Perfetto "
-          "XFER trace\n"
-          "  --trace-capacity=N              trace ring size (default "
-       << obs::Tracer::defaultCapacity
-       << ")\n"
-          "  --profile                       per-procedure cycle "
-          "profile\n"
-          "  --profile-top=N                 profile rows to print "
-          "(default 20)\n"
-          "  --profile-folded=FILE           write folded stacks "
-          "(flamegraph.pl)\n"
-          "  --profile-sampled               sampled (accel-safe) "
-          "profile: cycle\n"
-          "                                  samples instead of exact "
-          "XFER observation,\n"
-          "                                  so --accel fast paths "
-          "keep running\n"
-          "  --sample-interval=N             cycles between profile "
-          "samples (default\n"
-          "                                  9973; prime to avoid "
-          "loop aliasing)\n"
-          "  --stats-json=FILE               write statistics as JSON\n"
-          "  --metrics-out=FILE              write a fpc-metrics-v1 "
-          "time series\n"
-          "  --metrics-interval=N            cycles between samples "
-          "(default "
-       << obs::Telemetry::defaultInterval
-       << ")\n"
-          "  --metrics-capacity=N            metrics ring size "
-          "(default "
-       << obs::Telemetry::defaultCapacity
-       << ")\n"
-          "  --openmetrics-out=FILE          write the series as "
-          "OpenMetrics text\n"
-          "  --postmortem-dir=DIR            write a postmortem bundle "
-          "on error stops\n"
-          "  --record-out=FILE               write an fpc-record-v1 "
-          "recording (fpcreplay)\n"
-          "  --probe=SPEC                    attach a dynamic probe "
-          "(repeatable); e.g.\n"
-          "                                  'entry:Mod.proc"
-          "{depth<=4} -> quantize(cycles)'\n"
-          "                                  zero simulated cost; "
-          "accel backends deopt only\n"
-          "                                  the probed procedures\n"
-          "  --probe-out=FILE                write probe aggregations "
-          "as fpc-probes-v1\n"
-          "  --log-level=error|warn|info|debug  stderr verbosity "
-          "(default info)\n"
-          "  --help                          show this help\n";
-}
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    printUsage(std::cerr, argv0);
-    std::exit(2);
-}
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const std::string &prefix) {
-            return arg.substr(prefix.size());
-        };
-        if (arg.rfind("--impl=", 0) == 0) {
-            const std::string v = value("--impl=");
-            if (v == "simple")
-                opt.impl = Impl::Simple;
-            else if (v == "mesa")
-                opt.impl = Impl::Mesa;
-            else if (v == "ifu")
-                opt.impl = Impl::Ifu;
-            else if (v == "banked")
-                opt.impl = Impl::Banked;
-            else
-                usage(argv[0]);
-        } else if (arg.rfind("--linkage=", 0) == 0) {
-            const std::string v = value("--linkage=");
-            if (v == "fat")
-                opt.lowering = CallLowering::Fat;
-            else if (v == "mesa")
-                opt.lowering = CallLowering::Mesa;
-            else if (v == "direct")
-                opt.lowering = CallLowering::Direct;
-            else
-                usage(argv[0]);
-        } else if (arg == "--short-calls") {
-            opt.shortCalls = true;
-        } else if (arg.rfind("--banks=", 0) == 0) {
-            opt.banks = std::stoul(value("--banks="));
-        } else if (arg.rfind("--timeslice=", 0) == 0) {
-            opt.timeslice = std::stoull(value("--timeslice="));
-        } else if (arg.rfind("--entry=", 0) == 0) {
-            const std::string v = value("--entry=");
-            const auto dot = v.find('.');
-            if (dot == std::string::npos)
-                usage(argv[0]);
-            opt.entryModule = v.substr(0, dot);
-            opt.entryProc = v.substr(dot + 1);
-        } else if (arg == "--stats") {
-            opt.stats = true;
-        } else if (arg.rfind("--accel=", 0) == 0) {
-            const auto on = parseAccelOption(value("--accel="));
-            if (!on)
-                usage(argv[0]);
-            opt.accel = *on;
-        } else if (arg == "--accel-stats") {
-            opt.accelStats = true;
-        } else if (arg == "--disasm") {
-            opt.disasm = true;
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            opt.traceOut = value("--trace-out=");
-        } else if (arg.rfind("--trace-capacity=", 0) == 0) {
-            opt.traceCapacity = std::stoull(value("--trace-capacity="));
-        } else if (arg == "--profile") {
-            opt.profile = true;
-        } else if (arg.rfind("--profile-top=", 0) == 0) {
-            opt.profile = true;
-            opt.profileTop = std::stoul(value("--profile-top="));
-        } else if (arg.rfind("--profile-folded=", 0) == 0) {
-            opt.profileFolded = value("--profile-folded=");
-        } else if (arg == "--profile-sampled") {
-            opt.profileSampled = true;
-        } else if (arg.rfind("--sample-interval=", 0) == 0) {
-            opt.sampleInterval =
-                std::stoull(value("--sample-interval="));
-        } else if (arg.rfind("--stats-json=", 0) == 0) {
-            opt.statsJson = value("--stats-json=");
-        } else if (arg.rfind("--metrics-out=", 0) == 0) {
-            opt.metricsOut = value("--metrics-out=");
-        } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-            opt.metricsInterval =
-                std::stoull(value("--metrics-interval="));
-        } else if (arg.rfind("--metrics-capacity=", 0) == 0) {
-            opt.metricsCapacity =
-                std::stoull(value("--metrics-capacity="));
-        } else if (arg.rfind("--openmetrics-out=", 0) == 0) {
-            opt.openmetricsOut = value("--openmetrics-out=");
-        } else if (arg.rfind("--postmortem-dir=", 0) == 0) {
-            opt.postmortemDir = value("--postmortem-dir=");
-        } else if (arg.rfind("--record-out=", 0) == 0) {
-            opt.recordOut = value("--record-out=");
-        } else if (arg.rfind("--probe=", 0) == 0) {
-            opt.probeSpecs.push_back(value("--probe="));
-        } else if (arg.rfind("--probe-out=", 0) == 0) {
-            opt.probeOut = value("--probe-out=");
-        } else if (arg.rfind("--log-level=", 0) == 0) {
-            LogLevel level;
-            if (!parseLogLevel(value("--log-level="), level))
-                usage(argv[0]);
-            setLogLevel(level);
-        } else if (arg == "--help") {
-            printUsage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            usage(argv[0]);
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            opt.args.push_back(
-                static_cast<Word>(std::stol(arg) & 0xFFFF));
-        }
-    }
-    if (opt.file.empty())
-        usage(argv[0]);
-    // A folded path alone keeps its historical meaning (exact
-    // profile); with --profile-sampled it exports the sampled one.
-    if (!opt.profileFolded.empty() && !opt.profileSampled)
-        opt.profile = true;
+    cli::OptionTable t(argv[0], {"[options] <file.mm> [int args...]"});
+    cli::engineOptions(t, opt.rc.machine, opt.rc.plan);
+    cli::entryOption(t, opt.entry);
+    t.flag("--stats", "dump machine statistics", opt.stats);
+    t.flag("--disasm", "dump the loaded code", opt.disasm);
+    cli::exportOptions(t, opt.rc, opt.rep);
+    cli::profileOptions(t, opt.rc, opt.rep);
+    cli::jobOptions(t, opt.rc.metricsInterval, opt.rc.postmortemDir,
+                    opt.rep.probeSpecs);
+    cli::logOptions(t);
+    const std::vector<std::string> positional = t.parse(argc, argv);
+    if (positional.empty())
+        t.fail("missing <file.mm>");
+    opt.file = positional.front();
+    opt.args = t.programArgs(positional, 1);
     return opt;
 }
 
@@ -343,35 +145,14 @@ dumpStats(const Machine &machine, const Memory &mem)
     }
 }
 
-void
-dumpAccelStats(const Machine &machine)
-{
-    std::cout << "\n--- host acceleration ---\n";
-    if (!machine.accelEnabled()) {
-        std::cout << "disabled (--accel=off)\n";
-        return;
-    }
-    const AccelStats a = machine.accelStats();
-    std::cout << "icache: " << a.icacheHits << " hits, "
-              << a.icacheMisses << " misses ("
-              << stats::percent(a.icacheHitRate()) << ")\n"
-              << "link cache: " << a.linkHits() << " hits, "
-              << a.linkMisses() << " misses ("
-              << stats::percent(a.linkHitRate()) << ")\n"
-              << "flushes: " << a.codeFlushes << " code, "
-              << a.tableFlushes << " link\n";
-    if (a.probeSites != 0 || a.probeEagerSteps != 0)
-        std::cout << "probes: " << a.probeSites << " armed sites, "
-                  << a.probeDeoptBlocks << " deopt blocks, "
-                  << a.probeEagerSteps << " eager steps\n";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 try {
     const Options opt = parseArgs(argc, argv);
+    const sched::RuntimeConfig &rc = opt.rc;
+    const cli::Reports &rep = opt.rep;
 
     std::ifstream in(opt.file);
     if (!in) {
@@ -383,95 +164,77 @@ try {
     const std::string source = buffer.str();
 
     const auto modules = lang::compile(source);
-    std::string entry = opt.entryModule;
-    if (entry.empty()) {
-        entry = modules.front().name;
-        for (const auto &m : modules)
-            if (m.name == "Main")
-                entry = "Main";
-    }
+    const std::string entry = opt.entry.moduleIn(modules);
 
     const SystemLayout layout;
     Memory mem(layout.memWords);
     Loader loader{layout, SizeClasses::standard()};
     for (const auto &m : modules)
         loader.add(m);
-    LinkPlan plan;
-    plan.lowering = opt.lowering;
-    plan.shortCalls = opt.shortCalls;
-    const LoadedImage image = loader.load(mem, plan);
+    const LoadedImage image = loader.load(mem, rc.plan);
     // Hash before the Machine exists: its FrameHeap constructor
     // rewrites the AV, and replay hashes at this same point.
-    const std::uint64_t imageHash = opt.recordOut.empty()
-                                        ? 0
-                                        : replay::imageHash(mem, image);
+    const std::uint64_t imageHash =
+        rc.record ? replay::imageHash(mem, image) : 0;
 
     if (opt.disasm)
         dumpDisassembly(image, mem);
 
-    MachineConfig config;
-    config.impl = opt.impl;
-    config.numBanks = opt.banks;
-    config.timesliceSteps = opt.timeslice;
-    config.accel.enabled = opt.accel;
-    Machine machine(mem, image, config);
+    Machine machine(mem, image, rc.machine);
 
     // Observability: a tracer and/or profiler share the machine's one
     // observer slot through a fanout. Both are free when unused.
     obs::ProcMap procMap;
-    obs::Tracer tracer(opt.traceCapacity);
+    obs::Tracer tracer(rc.traceCapacity);
     std::optional<obs::Profiler> profiler;
     obs::Fanout fanout;
-    if (!opt.traceOut.empty()) {
+    if (rc.trace) {
         procMap = obs::ProcMap(image);
         tracer.setProcMap(&procMap);
         fanout.add(&tracer);
     }
-    if (opt.profile) {
+    if (rc.profile) {
         profiler.emplace(image);
         fanout.add(&*profiler);
     }
     obs::FlightRecorder recorder;
-    if (!opt.postmortemDir.empty())
+    if (!rc.postmortemDir.empty())
         fanout.add(&recorder);
     if (!fanout.empty())
         machine.setObserver(&fanout);
 
-    const bool metricsWanted =
-        !opt.metricsOut.empty() || !opt.openmetricsOut.empty();
-    const bool telemetryWanted =
-        metricsWanted || !opt.postmortemDir.empty();
-    obs::Telemetry telemetry(opt.metricsCapacity);
+    const bool telemetryWanted = rc.metrics || !rc.postmortemDir.empty();
+    obs::Telemetry telemetry(rc.metricsCapacity);
     // The replay recorder, telemetry and the sampled profiler each
     // ride the machine's exact sampler on their own grid, so none of
     // them moves another's sample points.
     replay::Recorder replayRec;
-    if (!opt.recordOut.empty()) {
+    if (rc.record) {
         replayRec.beginJob(0, 0);
-        machine.addSampler(&replayRec, opt.metricsInterval);
+        machine.addSampler(&replayRec, rc.metricsInterval);
     }
     if (telemetryWanted)
-        machine.addSampler(&telemetry, opt.metricsInterval);
+        machine.addSampler(&telemetry, rc.metricsInterval);
     std::optional<obs::SampledProfiler> sampledProfiler;
-    if (opt.profileSampled) {
+    if (rc.profileSampled) {
         sampledProfiler.emplace(image);
-        machine.addSampler(&*sampledProfiler, opt.sampleInterval);
+        machine.addSampler(&*sampledProfiler, rc.sampleInterval);
     }
 
-    warnAccelDemoted("fpcvm", config.accel,
-                     !opt.traceOut.empty() || opt.profile ||
-                         !opt.postmortemDir.empty(),
-                     "--profile/--trace-out/--postmortem-dir",
-                     ". Use --profile-sampled to keep the fast path");
+    cli::warnAccelDemoted("fpcvm", rc.machine.accel,
+                          rc.trace || rc.profile ||
+                              !rc.postmortemDir.empty(),
+                          "--profile/--trace-out/--postmortem-dir",
+                          ". Use --profile-sampled to keep the fast path");
 
     // Dynamic probes: zero simulated cost and accel-safe (only the
     // armed procedures deoptimize), so they are deliberately absent
     // from the warning above.
     obs::ProbeRegistry probeRegistry;
     std::optional<obs::ProbeEngine> probeEngine;
-    if (!opt.probeSpecs.empty()) {
+    if (!rep.probeSpecs.empty()) {
         std::string perr;
-        if (!obs::attachProbeSpecs(probeRegistry, opt.probeSpecs,
+        if (!obs::attachProbeSpecs(probeRegistry, rep.probeSpecs,
                                    perr)) {
             error("fpcvm: {}", perr);
             return 2;
@@ -482,24 +245,24 @@ try {
                              probeEngine->armedRanges());
     }
 
-    if (opt.timeslice > 0) {
+    if (rc.machine.timesliceSteps > 0) {
         // Single program, so every expired slice switches the process
         // to itself — still a full ProcSwitch XFER through the engine.
         Machine::Scheduler policy =
             [](Machine &m) { return m.currentFrameContext(); };
-        if (!opt.recordOut.empty())
+        if (rc.record)
             policy = replayRec.wrapPolicy(std::move(policy));
         machine.setScheduler(std::move(policy));
     }
-    machine.start(entry, opt.entryProc, opt.args);
+    machine.start(entry, opt.entry.proc, opt.args);
     // Bracket the run: even programs shorter than one interval export
     // a start and a final point.
-    if (!opt.recordOut.empty())
+    if (rc.record)
         replayRec.sample(machine);
     if (telemetryWanted)
         telemetry.sample(machine);
     const RunResult result = machine.run();
-    if (!opt.recordOut.empty())
+    if (rc.record)
         replayRec.finish(machine, result); // before popValue below
     if (telemetryWanted)
         telemetry.sample(machine);
@@ -520,30 +283,31 @@ try {
         error("fpcvm: {}: {}", stopReasonName(result.reason),
               result.message);
         exit_code = 1;
-        if (!opt.postmortemDir.empty()) {
+        if (!rc.postmortemDir.empty()) {
             obs::PostmortemConfig pm;
-            pm.dir = opt.postmortemDir;
+            pm.dir = rc.postmortemDir;
             pm.driver = "fpcvm";
-            pm.impl = implName(config.impl);
+            pm.impl = implName(rc.machine.impl);
             if (obs::writePostmortem(pm, machine, result, image,
                                      recorder, &telemetry)) {
                 inform("fpcvm: postmortem bundle written to {}",
-                       opt.postmortemDir);
+                       rc.postmortemDir);
             }
         }
     }
 
     if (opt.stats)
         dumpStats(machine, mem);
-    if (opt.accelStats)
-        dumpAccelStats(machine);
+    if (rep.accelStats)
+        cli::printAccelStats("host acceleration", machine.accelEnabled(),
+                             machine.accelStats());
 
     // Artifacts are written even when the program stopped on an error:
     // a trace of a failing run is the one you want to look at.
-    if (!opt.traceOut.empty()) {
-        std::ofstream out(opt.traceOut);
+    if (!rep.traceOut.empty()) {
+        std::ofstream out(rep.traceOut);
         if (!out) {
-            error("fpcvm: cannot write {}", opt.traceOut);
+            error("fpcvm: cannot write {}", rep.traceOut);
             return 1;
         }
         obs::writeChromeTrace(out, tracer);
@@ -555,13 +319,13 @@ try {
     if (profiler) {
         const obs::ProfileData data =
             profiler->finish(machine.cycles());
-        std::cout << "\n--- profile (top " << opt.profileTop
+        std::cout << "\n--- profile (top " << rep.profileTop
                   << " by exclusive cycles) ---\n";
-        data.topTable(opt.profileTop).print(std::cout);
-        if (!opt.profileFolded.empty()) {
-            std::ofstream out(opt.profileFolded);
+        data.topTable(rep.profileTop).print(std::cout);
+        if (!rep.profileFolded.empty()) {
+            std::ofstream out(rep.profileFolded);
             if (!out) {
-                error("fpcvm: cannot write {}", opt.profileFolded);
+                error("fpcvm: cannot write {}", rep.profileFolded);
                 return 1;
             }
             data.writeFolded(out);
@@ -569,36 +333,36 @@ try {
     }
     if (sampledProfiler) {
         const obs::SampledProfile data = sampledProfiler->finish();
-        std::cout << "\n--- sampled profile (top " << opt.profileTop
-                  << " by samples, interval " << opt.sampleInterval
+        std::cout << "\n--- sampled profile (top " << rep.profileTop
+                  << " by samples, interval " << rc.sampleInterval
                   << " cycles) ---\n";
-        data.topTable(opt.profileTop).print(std::cout);
-        if (!opt.profileFolded.empty() && !opt.profile) {
-            std::ofstream out(opt.profileFolded);
+        data.topTable(rep.profileTop).print(std::cout);
+        if (!rep.profileFolded.empty() && !rc.profile) {
+            std::ofstream out(rep.profileFolded);
             if (!out) {
-                error("fpcvm: cannot write {}", opt.profileFolded);
+                error("fpcvm: cannot write {}", rep.profileFolded);
                 return 1;
             }
             data.writeFolded(out);
         }
     }
-    if (!opt.probeOut.empty()) {
-        std::ofstream out(opt.probeOut);
+    if (!rep.probeOut.empty()) {
+        std::ofstream out(rep.probeOut);
         if (!out) {
-            error("fpcvm: cannot write {}", opt.probeOut);
+            error("fpcvm: cannot write {}", rep.probeOut);
             return 1;
         }
         probeRegistry.writeJson(out, "fpcvm");
     }
-    if (!opt.statsJson.empty()) {
-        std::ofstream out(opt.statsJson);
+    if (!rep.statsJson.empty()) {
+        std::ofstream out(rep.statsJson);
         if (!out) {
-            error("fpcvm: cannot write {}", opt.statsJson);
+            error("fpcvm: cannot write {}", rep.statsJson);
             return 1;
         }
         obs::StatsExport exp;
         exp.driver = "fpcvm";
-        exp.impl = implName(config.impl);
+        exp.impl = implName(rc.machine.impl);
         exp.stopReason = stopReasonName(result.reason);
         exp.machine = &machine.stats();
         exp.memory = &mem;
@@ -607,24 +371,24 @@ try {
         // Host counters only on request: the default document must be
         // byte-identical with acceleration on or off.
         AccelStats accel_counters;
-        if (opt.accelStats) {
+        if (rep.accelStats) {
             accel_counters = machine.accelStats();
             exp.accel = &accel_counters;
         }
         obs::writeStatsJson(out, exp);
     }
-    if (metricsWanted) {
+    if (rc.metrics) {
         obs::MetricsExport meta;
         meta.driver = "fpcvm";
-        meta.impl = implName(config.impl);
-        meta.interval = opt.metricsInterval;
+        meta.impl = implName(rc.machine.impl);
+        meta.interval = rc.metricsInterval;
         // Host hit rates only on request, like --accel-stats: the
         // default series must be byte-identical with --accel=on|off.
-        meta.includeAccel = opt.accelStats;
-        if (!opt.metricsOut.empty()) {
-            std::ofstream out(opt.metricsOut);
+        meta.includeAccel = rep.accelStats;
+        if (!rep.metricsOut.empty()) {
+            std::ofstream out(rep.metricsOut);
             if (!out) {
-                error("fpcvm: cannot write {}", opt.metricsOut);
+                error("fpcvm: cannot write {}", rep.metricsOut);
                 return 1;
             }
             obs::writeMetricsJson(out, meta, telemetry);
@@ -633,35 +397,35 @@ try {
                      "(raise --metrics-capacity)",
                      telemetry.dropped(), telemetry.recorded());
         }
-        if (!opt.openmetricsOut.empty()) {
-            std::ofstream out(opt.openmetricsOut);
+        if (!rep.openmetricsOut.empty()) {
+            std::ofstream out(rep.openmetricsOut);
             if (!out) {
-                error("fpcvm: cannot write {}", opt.openmetricsOut);
+                error("fpcvm: cannot write {}", rep.openmetricsOut);
                 return 1;
             }
             obs::writeOpenMetrics(out, meta, telemetry);
         }
     }
-    if (!opt.recordOut.empty()) {
+    if (!rep.recordOut.empty()) {
         replay::RecordLog log;
-        log.impl = opt.impl;
-        log.lowering = opt.lowering;
-        log.shortCalls = opt.shortCalls;
-        log.banks = opt.banks;
-        log.timeslice = opt.timeslice;
-        log.accel = opt.accel;
-        log.interval = opt.metricsInterval;
+        log.impl = rc.machine.impl;
+        log.lowering = rc.plan.lowering;
+        log.shortCalls = rc.plan.shortCalls;
+        log.banks = rc.machine.numBanks;
+        log.timeslice = rc.machine.timesliceSteps;
+        log.accel = rc.machine.accel.enabled;
+        log.interval = rc.metricsInterval;
         log.workers = 1;
         log.stride = 1;
         log.imageHash = imageHash;
         log.entryModule = entry;
-        log.entryProc = opt.entryProc;
+        log.entryProc = opt.entry.proc;
         log.args = opt.args;
         log.source = source;
         log.jobs.push_back(replayRec.takeJob());
-        std::ofstream out(opt.recordOut);
+        std::ofstream out(rep.recordOut);
         if (!out) {
-            error("fpcvm: cannot write {}", opt.recordOut);
+            error("fpcvm: cannot write {}", rep.recordOut);
             return 1;
         }
         replay::writeRecord(out, log);
